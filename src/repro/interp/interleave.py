@@ -28,19 +28,22 @@ records which thread issued every access (``merged_threads``), so the
 per-line MSI coherence oracle (:mod:`repro.memsim.coherence`) can replay
 invalidations over the exact interleaving.
 
-Tracing a nest per (chunk, thread) re-uses the ordinary
-:func:`trace_program` machinery on a single-statement program; all array
-declarations are kept, so ``global_keys`` agree across every segment.
+Tracing a nest per thread re-uses the ordinary :func:`trace_program`
+machinery on a program whose body is that thread's chunk loops; all
+array declarations are kept, so ``global_keys`` agree across every
+segment.  :func:`thread_program` is the same partition as one serial
+program per thread, which is how an access of the merged stream is
+mapped back to its loop iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Loop, Program
+from ..lang import Loop, Program, Stmt
 from ..obs import metrics, span
 from ..stream import AddressStream
 from .tracegen import trace_program
@@ -66,48 +69,6 @@ class InterleavedRun:
         return len(self.merged)
 
 
-def _merge_runs(
-    lengths: Sequence[int], block: int
-) -> list[tuple[int, int, int]]:
-    """Round-robin drain order over streams of the given lengths, as
-    ``(stream_index, start, stop)`` runs of up to ``block`` accesses.
-
-    Delegates to :func:`repro.static.schedule.round_robin_order` — the
-    one definition of the interleaving contract the static coherence
-    analyzer also orders by.
-    """
-    from ..static.schedule import round_robin_order
-
-    return round_robin_order(lengths, block)
-
-
-def round_robin(
-    streams: Sequence[np.ndarray], block: int = 1
-) -> np.ndarray:
-    """Merge streams round-robin, ``block`` elements per turn."""
-    live = [np.asarray(s, dtype=np.int64) for s in streams if len(s)]
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    if not live:
-        return np.empty(0, dtype=np.int64)
-    if len(live) == 1:
-        return live[0]
-    out = np.empty(sum(len(s) for s in live), dtype=np.int64)
-    filled = 0
-    for k, p, q in _merge_runs([len(s) for s in live], block):
-        out[filled : filled + (q - p)] = live[k][p:q]
-        filled += q - p
-    return out
-
-
-def _chunks(lo: int, hi: int, threads: int) -> list[tuple[int, int]]:
-    """OpenMP static block partition of the inclusive range [lo, hi]."""
-    from ..static.schedule import schedule_chunks
-
-    per_thread = schedule_chunks(lo, hi, threads, "static")
-    return [c[0] for c in per_thread if c]
-
-
 def interleave_trace(
     program: Program,
     params: Mapping[str, int],
@@ -125,9 +86,9 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # lazy: repro.static never imports the interpreter, so this
-    # direction is the acyclic one — but keep it out of module scope
-    from ..static.schedule import parse_schedule
+    # lazy: the static package imports this module lazily too, so
+    # neither package imports the other at module scope
+    from ..static.schedule import parse_schedule, round_robin_order
 
     parse_schedule(schedule)  # validate the spec before tracing
     if parallel_nests is None:
@@ -149,56 +110,43 @@ def interleave_trace(
         merged_tids: list[np.ndarray] = []
         priv_keys: list[list[np.ndarray]] = [[] for _ in range(threads)]
         priv_writes: list[list[np.ndarray]] = [[] for _ in range(threads)]
-        invocation = 0
-        for _ in range(steps):
-            for k, stmt in enumerate(program.body):
-                if (
-                    threads > 1
-                    and k in parallel
-                    and isinstance(stmt, Loop)
-                ):
-                    columns = _parallel_nest_columns(
-                        program, stmt, params, threads, schedule, invocation
-                    )
-                    invocation += 1
-                    for t, (keys, writes) in enumerate(columns):
-                        if len(keys):
-                            priv_keys[t].append(keys)
-                            priv_writes[t].append(writes)
-                    mk = np.empty(
-                        sum(len(c[0]) for c in columns), dtype=np.int64
-                    )
-                    mw = np.empty(len(mk), dtype=bool)
-                    mt = np.empty(len(mk), dtype=np.int32)
-                    filled = 0
-                    live = [
-                        (t, c) for t, c in enumerate(columns) if len(c[0])
-                    ]
-                    for i, p, q in _merge_runs(
-                        [len(c[0]) for _, c in live], block
-                    ):
-                        t, (ck, cw) = live[i]
-                        mk[filled : filled + (q - p)] = ck[p:q]
-                        mw[filled : filled + (q - p)] = cw[p:q]
-                        mt[filled : filled + (q - p)] = t
-                        filled += q - p
-                    merged_keys.append(mk)
-                    merged_writes.append(mw)
-                    merged_tids.append(mt)
-                else:
-                    trace = trace_program(
-                        program.with_body((stmt,)), params
-                    )
-                    keys = trace.global_keys()
+        for stmt, per_thread in _partition(
+            program, params, threads, steps, schedule, parallel
+        ):
+            if per_thread is not None:
+                columns = [
+                    _columns(program, loops, params) for loops in per_thread
+                ]
+                for t, (keys, writes) in enumerate(columns):
                     if len(keys):
-                        writes = np.asarray(trace.writes, dtype=bool)
-                        priv_keys[0].append(keys)
-                        priv_writes[0].append(writes)
-                        merged_keys.append(keys)
-                        merged_writes.append(writes)
-                        merged_tids.append(
-                            np.zeros(len(keys), dtype=np.int32)
-                        )
+                        priv_keys[t].append(keys)
+                        priv_writes[t].append(writes)
+                mk = np.empty(
+                    sum(len(c[0]) for c in columns), dtype=np.int64
+                )
+                mw = np.empty(len(mk), dtype=bool)
+                mt = np.empty(len(mk), dtype=np.int32)
+                filled = 0
+                live = [(t, c) for t, c in enumerate(columns) if len(c[0])]
+                for i, p, q in round_robin_order(
+                    [len(c[0]) for _, c in live], block
+                ):
+                    t, (ck, cw) = live[i]
+                    mk[filled : filled + (q - p)] = ck[p:q]
+                    mw[filled : filled + (q - p)] = cw[p:q]
+                    mt[filled : filled + (q - p)] = t
+                    filled += q - p
+                merged_keys.append(mk)
+                merged_writes.append(mw)
+                merged_tids.append(mt)
+            else:
+                keys, writes = _columns(program, (stmt,), params)
+                if len(keys):
+                    priv_keys[0].append(keys)
+                    priv_writes[0].append(writes)
+                    merged_keys.append(keys)
+                    merged_writes.append(writes)
+                    merged_tids.append(np.zeros(len(keys), dtype=np.int32))
         all_keys = (
             np.concatenate(merged_keys)
             if merged_keys
@@ -214,7 +162,7 @@ def interleave_trace(
             if merged_tids
             else np.empty(0, np.int32)
         )
-        per_thread = tuple(
+        per_thread_streams = tuple(
             _elem_stream(
                 np.concatenate(p) if p else np.empty(0, np.int64),
                 np.concatenate(w) if w else np.empty(0, bool),
@@ -233,9 +181,81 @@ def interleave_trace(
             merged=_elem_stream(
                 all_keys, all_writes, name=f"{program.name}/shared"
             ),
-            per_thread=per_thread,
+            per_thread=per_thread_streams,
             merged_threads=all_tids,
         )
+
+
+def thread_program(
+    program: Program,
+    params: Mapping[str, int],
+    threads: int,
+    thread: int,
+    steps: int,
+    schedule: str,
+    parallel_nests: Sequence[int],
+) -> Program:
+    """Thread ``thread``'s share of the execution as one serial program.
+
+    Its trace is exactly ``per_thread[thread]`` of the matching
+    :func:`interleave_trace` run: the thread's chunks of every
+    partitioned nest (the outer loop narrowed to each chunk) and, on
+    thread 0, every serial nest, all steps in order.
+    """
+    body: list[Stmt] = []
+    for stmt, per_thread in _partition(
+        program, params, threads, steps, schedule, frozenset(parallel_nests)
+    ):
+        if per_thread is not None:
+            body.extend(per_thread[thread])
+        elif thread == 0:
+            body.append(stmt)
+    return program.with_body(tuple(body))
+
+
+def _partition(
+    program: Program,
+    params: Mapping[str, int],
+    threads: int,
+    steps: int,
+    schedule: str,
+    parallel: frozenset[int],
+) -> Iterator[tuple[Stmt, Optional[list[list[Loop]]]]]:
+    """Every executed top-level statement, in order, with its per-thread
+    chunk loops — ``None`` for a nest that runs serially on thread 0.
+
+    A thread's chunks execute back-to-back in chunk order — for
+    ``static,k`` and ``guided`` that is the order the deterministic
+    dealer hands them out.  ``dynamic`` rotates the assignment once per
+    partitioned nest invocation.
+    """
+    from ..static.schedule import schedule_chunks
+
+    env = dict(params)
+    invocation = 0
+    for _ in range(steps):
+        for k, stmt in enumerate(program.body):
+            if threads > 1 and k in parallel and isinstance(stmt, Loop):
+                lo = int(stmt.lower.affine().evaluate(env))
+                hi = int(stmt.upper.affine().evaluate(env))
+                per_thread = schedule_chunks(
+                    lo, hi, threads, schedule, invocation
+                )
+                invocation += 1
+                yield stmt, [
+                    [replace(stmt, lower=a, upper=b) for a, b in chunks]
+                    for chunks in per_thread
+                ]
+            else:
+                yield stmt, None
+
+
+def _columns(
+    program: Program, body: Sequence[Stmt], params: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(keys, writes)`` columns of ``body`` run in sequence."""
+    trace = trace_program(program.with_body(tuple(body)), params)
+    return trace.global_keys(), np.asarray(trace.writes, dtype=bool)
 
 
 def _elem_stream(
@@ -249,41 +269,3 @@ def _elem_stream(
         name=name, source="interleave", unit="elements", elem_bytes=ELEM_BYTES
     )
     return AddressStream(keys, writes, meta=meta)
-
-
-def _parallel_nest_columns(
-    program: Program,
-    loop: Loop,
-    params: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    invocation: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-thread ``(keys, writes)`` columns of one partitioned nest.
-
-    A thread's chunks execute back-to-back in chunk order — for
-    ``static,k`` and ``guided`` that is the order the deterministic
-    dealer hands them out.
-    """
-    from ..static.schedule import schedule_chunks
-
-    env = dict(params)
-    lo = int(loop.lower.affine().evaluate(env))
-    hi = int(loop.upper.affine().evaluate(env))
-    per_thread = schedule_chunks(lo, hi, threads, schedule, invocation)
-    columns: list[tuple[np.ndarray, np.ndarray]] = []
-    for chunks in per_thread:
-        keys: list[np.ndarray] = []
-        writes: list[np.ndarray] = []
-        for a, b in chunks:
-            sub = replace(loop, lower=a, upper=b)
-            trace = trace_program(program.with_body((sub,)), params)
-            keys.append(trace.global_keys())
-            writes.append(np.asarray(trace.writes, dtype=bool))
-        columns.append(
-            (
-                np.concatenate(keys) if keys else np.empty(0, np.int64),
-                np.concatenate(writes) if writes else np.empty(0, bool),
-            )
-        )
-    return columns

@@ -376,6 +376,14 @@ class _Generator:
         return self.builder.build()
 
 
+def _compile(
+    program: Program, params: Mapping[str, int]
+) -> tuple[tuple[_CNode, ...], _Compiler, dict[str, int]]:
+    bound = check_params(program, params)
+    compiler = _Compiler(program, bound)
+    return compiler.compile_body(program.body), compiler, bound
+
+
 def trace_program(
     program: Program,
     params: Mapping[str, int],
@@ -389,14 +397,88 @@ def trace_program(
     records a dynamic instruction id per access (needed by the
     reuse-driven-execution study).
     """
-    bound = check_params(program, params)
-    compiler = _Compiler(program, bound)
-    compiled = compiler.compile_body(program.body)
+    compiled, compiler, bound = _compile(program, params)
     gen = _Generator(compiled, compiler, with_instr)
     gen.env.update(bound)
     for _ in range(steps):
         gen.run_body(compiled)
     return gen.finish()
+
+
+class _Locator(_Generator):
+    """Walks the compiled form like :class:`_Generator` but counts
+    accesses instead of emitting them, stopping at one access index."""
+
+    def __init__(
+        self, compiled: tuple[_CNode, ...], compiler: _Compiler, index: int
+    ) -> None:
+        super().__init__(compiled, compiler, with_instr=False)
+        self.left = index  # accesses still to skip
+
+    def locate_body(self, body: tuple[_CNode, ...]) -> bool:
+        return any(self.locate_node(node) for node in body)
+
+    def locate_node(self, node: _CNode) -> bool:
+        if isinstance(node, _CAssign):
+            if self.left < len(node.refs):
+                return True
+            self.left -= len(node.refs)
+            return False
+        if isinstance(node, _CGuard):
+            member = self._member(node, self.env[node.index])
+            return self.locate_body(node.body if member else node.else_body)
+        lo = int(node.lower.evaluate(self.env))
+        hi = int(node.upper.evaluate(self.env))
+        if lo > hi:
+            return False
+        if node.flat:
+            # whole guard-constant segments are skipped arithmetically
+            for seg_lo, seg_hi, assigns in self._segments(
+                node.body, node.index, lo, hi
+            ):
+                per_iter = sum(len(a.refs) for a in assigns)
+                size = per_iter * (seg_hi - seg_lo + 1)
+                if self.left < size:
+                    self.env[node.index] = seg_lo + self.left // per_iter
+                    return True
+                self.left -= size
+            return False
+        for i in range(lo, hi + 1):
+            self.env[node.index] = i
+            if self.locate_body(node.body):
+                return True
+        self.env.pop(node.index, None)
+        return False
+
+
+def access_bindings(
+    program: Program, params: Mapping[str, int], indices: Sequence[int]
+) -> list[tuple[tuple[str, int], ...]]:
+    """Loop-variable bindings (outermost first) of each access
+    ``indices[k]`` of ``trace_program(program, params)``, found without
+    generating the trace: innermost loops are skipped a segment at a
+    time.  An access outside every loop has no bindings."""
+    compiled, compiler, bound = _compile(program, params)
+    out = []
+    for index in indices:
+        locator = _Locator(compiled, compiler, index)
+        locator.env.update(bound)
+        if index < 0 or not locator.locate_body(compiled):
+            raise IndexError(f"access {index} is past the end of the trace")
+        out.append(
+            tuple((k, v) for k, v in locator.env.items() if k not in bound)
+        )
+    return out
+
+
+def trace_length(program: Program, params: Mapping[str, int]) -> int:
+    """``len(trace_program(program, params))``, counted the same way."""
+    compiled, compiler, bound = _compile(program, params)
+    never = 1 << 62
+    locator = _Locator(compiled, compiler, never)
+    locator.env.update(bound)
+    locator.locate_body(compiled)
+    return never - locator.left
 
 
 def trace_stream(

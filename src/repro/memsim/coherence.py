@@ -17,10 +17,9 @@ granularity through the minimal owner-tracking view of an MSI
 
 Capacity is deliberately infinite: the oracle isolates *coherence*
 misses from capacity misses, which the reuse-distance machinery already
-models.  This is the contract the static analyzer
-(``repro.static.coherence``) is cross-validated against: invalidation
-totals exact on synthetic kernels, bounded error on the benchmark
-programs (DESIGN §10).
+models.  The coherence analyzer (``repro.static.coherence``) takes its
+cold, invalidation and upgrade counts and its invalidation mask from
+this replay of the interleaved trace, so they agree exactly (DESIGN §10).
 
 The oracle is exposed two ways: :func:`simulate_msi` on raw columns,
 and :class:`CoherenceLevel`, a pluggable

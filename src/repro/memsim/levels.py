@@ -51,19 +51,6 @@ class LevelResult:
     #: when the level is a :class:`~repro.memsim.coherence.CoherenceLevel`)
     msi: Optional[object] = None
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def fill_bytes(self) -> int:
-        """Bytes pulled into this level (misses × line size)."""
-        return self.misses * self.line_bytes
-
-    @property
-    def writeback_bytes(self) -> int:
-        return self.writebacks * self.line_bytes
-
 
 @runtime_checkable
 class MemoryLevel(Protocol):

@@ -1,4 +1,4 @@
-"""Static coherence and false-sharing analysis (line-granularity model).
+"""Coherence and false-sharing analysis (line-granularity model).
 
 The multicore reuse model (:mod:`repro.static.multicore`) predicts
 capacity behaviour; this module predicts the *coherence* component a
@@ -14,71 +14,65 @@ multi-thread run adds on top: invalidation misses, classified as
   flows.  The canonical cure is padding the leading dimension to a
   whole number of lines, which the R520 lint suggests.
 
-The analysis is fully static — no interpreter run.  It enumerates each
-reference's accesses from the affine loop model (the same tier the
-parallelism analyzer's exhaustive checker uses), partitions every
-parallel nest across threads with the shared schedule machinery
-(:mod:`repro.static.schedule`), orders the per-thread streams with the
-same round-robin drain contract the dynamic replay uses, and replays
-the merged stream through the owner-tracking MSI automaton — the exact
-contract of the :mod:`repro.memsim.coherence` oracle, which is why
-invalidation totals cross-validate exactly whenever the enumeration
-matches the tracer (DESIGN §10).
+The counts come from the one interleaved trace every multicore consumer
+shares: :func:`repro.interp.interleave_trace` partitions every parallel
+nest (the nests the parallelism analyzer proves DOALL) with the shared
+schedule machinery (:mod:`repro.static.schedule`) and merges the
+per-thread streams round-robin; :func:`repro.memsim.coherence.simulate_msi`
+replays the merged stream through the owner-tracking MSI automaton.
+Cold, invalidation and upgrade counts are therefore the oracle's by
+construction (DESIGN §10).  What this module adds is vectorized over
+that stream: an invalidation is *true* when another thread wrote the
+very element earlier in the stream, *false* otherwise.
 
-Two screens keep the line-level work focused, both built on the
-existing machinery:
+Two static screens keep the classification focused:
 
 * a **hull screen**: per-thread linearized footprint intervals (the
   rectangular hull of each reference restricted to a thread's chunk,
   widened by a line) prove most arrays are never line-shared across
-  threads at all — they are skipped by the sharing classifier;
+  threads at all — they are left out of the classification;
 * a **dependence screen**: :func:`repro.static.dependence_test.attainable`
   over cross-thread reference pairs proves when no element can be
   touched by two different threads — every line overlap of such an
   array is false sharing by construction.
 
-Witnesses are concrete: thread pair, the two global element keys and
-their offsets within the shared line, and the loop-variable bindings of
-the two colliding iterations (recovered by a bounded re-walk).
+Witnesses are concrete: the first invalidation on each of the first
+few lines, paired with the write it collided with (the last write to
+the element by another thread for true sharing, the write that
+invalidated the line for false sharing), with the two global element
+keys, their offsets within the line, and the loop-variable bindings of
+both accesses, located from their positions in the merged stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..lang import Program
 from ..lang.errors import AnalysisError
-from ..lang.expr import ArrayRef, array_reads
-from ..lang.stmt import Assign, CallStmt, Guard, Loop, Stmt
 from ..obs import metrics, span
 from .model import StaticRef, build_model
 from .multicore import _ref_box, _scope_ranges
 from .parallelism import (
     ParallelismProfile,
+    _strides,
     _Unsupported,
     analyze_parallelism,
     bind_params,
 )
-from .schedule import (
-    parse_schedule,
-    round_robin_order,
-    schedule_chunks,
-)
+from .schedule import parse_schedule, schedule_chunks
 
-#: enumeration ceiling: programs whose modeled access count exceeds this
+#: access ceiling: programs whose traced access count exceeds this
 #: raise (callers degrade gracefully — the tuner falls back to the
 #: capacity-only objective)
 DEFAULT_MAX_ACCESSES = 8_000_000
 
 #: how many sharing witnesses the profile keeps
 MAX_WITNESSES = 8
-
-#: iteration budget for recovering a witness's loop-variable bindings
-_WITNESS_WALK_CAP = 250_000
 
 
 # -- result types -------------------------------------------------------------
@@ -91,21 +85,21 @@ class SharingWitness:
     array: str
     line: int  # global line id (global key // line_elems)
     kind: str  # "true" | "false"
-    thread_a: int  # the thread that held the line first
-    thread_b: int  # the thread whose access invalidated / missed
+    thread_a: int  # the thread whose write the miss collided with
+    thread_b: int  # the thread whose access missed on it
     elem_a: int  # global element key thread_a touched
     elem_b: int  # global element key thread_b touched
     offset_a: int  # element offset of elem_a within the line
     offset_b: int
-    #: loop-variable bindings of the two iterations (empty when the
-    #: bounded recovery walk did not reach the access)
+    #: loop-variable bindings of the two accesses, outermost first
+    #: (empty for an access outside every loop)
     iter_a: tuple[tuple[str, int], ...] = ()
     iter_b: tuple[tuple[str, int], ...] = ()
 
     def render(self) -> str:
         def env(bindings: tuple[tuple[str, int], ...]) -> str:
             if not bindings:
-                return "(?)"
+                return "(top level)"
             return "(" + ", ".join(f"{k}={v}" for k, v in bindings) + ")"
 
         what = (
@@ -246,349 +240,6 @@ class CoherenceProfile:
             "witnesses": [w.render() for w in self.witnesses],
             "screened_out": list(self.screened_out),
         }
-
-
-# -- the static access enumerator ---------------------------------------------
-
-
-class _NonFlat(Exception):
-    """Internal: a loop body resists vectorization; take the slow path."""
-
-
-class _Walker:
-    """Enumerates (global key, is_write) columns from the affine model.
-
-    Mirrors the tracer's conventions exactly: arrays laid back-to-back
-    in declaration order, elements column-major (first subscript
-    fastest, 1-based), reads in expression order then the write, body
-    statements in order, iterations ascending.  Innermost loops whose
-    bodies are guard/assign-only vectorize over numpy; everything else
-    walks in Python.
-    """
-
-    def __init__(self, program: Program, env: Mapping[str, int]) -> None:
-        self.program = program
-        self.env = dict(env)
-        self.strides: dict[str, tuple[int, ...]] = {}
-        self.bases: dict[str, int] = {}
-        acc = 0
-        for decl in program.arrays:
-            shape = decl.shape(self.env)
-            strides = []
-            size = 1
-            for extent in shape:  # column-major: first subscript fastest
-                strides.append(size)
-                size *= extent
-            self.strides[decl.name] = tuple(strides)
-            self.bases[decl.name] = acc
-            acc += size
-        self._forms: dict[int, tuple] = {}
-
-    # the linearized global-key affine of one AST reference
-    def _linform(self, ref: ArrayRef):
-        cached = self._forms.get(id(ref))
-        if cached is not None:
-            return cached
-        strides = self.strides[ref.array]
-        const = Fraction(self.bases[ref.array])
-        terms: dict[str, Fraction] = {}
-        for k, sub in enumerate(ref.indices):
-            a = sub.affine()
-            s = strides[k]
-            const += a.const * s - s  # subscripts are 1-based
-            for n, c in a.coeffs:
-                terms[n] = terms.get(n, Fraction(0)) + c * s
-        form = (const, tuple(terms.items()))
-        self._forms[id(ref)] = form
-        return form
-
-    def _eval(self, form, env: Mapping[str, int]) -> int:
-        const, terms = form
-        total = const
-        for n, c in terms:
-            total += c * env[n]
-        return int(total)  # truncate, like the interpreter
-
-    def _assign_refs(self, stmt: Assign) -> list[tuple[object, bool]]:
-        cached = self._forms.get(-id(stmt))
-        if cached is None:
-            refs: list[tuple[object, bool]] = [
-                (self._linform(r), False) for r in array_reads(stmt.expr)
-            ]
-            if isinstance(stmt.target, ArrayRef):
-                refs.append((self._linform(stmt.target), True))
-            cached = tuple(refs)
-            self._forms[-id(stmt)] = cached
-        return list(cached)
-
-    # -- public entry ---------------------------------------------------
-
-    def nest(
-        self,
-        stmt: Stmt,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (keys, writes) columns of one top-level statement, with
-        the outermost loop optionally restricted to [lo, hi]."""
-        keys: list[np.ndarray] = []
-        writes: list[np.ndarray] = []
-        pend_k: list[int] = []
-        pend_w: list[bool] = []
-
-        def flush() -> None:
-            if pend_k:
-                keys.append(np.asarray(pend_k, dtype=np.int64))
-                writes.append(np.asarray(pend_w, dtype=bool))
-                pend_k.clear()
-                pend_w.clear()
-
-        self._emit(
-            stmt, dict(self.env), keys, writes, pend_k, pend_w, flush,
-            bounds=(lo, hi) if lo is not None else None,
-        )
-        flush()
-        if not keys:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        return np.concatenate(keys), np.concatenate(writes)
-
-    # -- walk -----------------------------------------------------------
-
-    def _emit(
-        self, stmt, env, keys, writes, pend_k, pend_w, flush, bounds=None
-    ) -> None:
-        if isinstance(stmt, Assign):
-            for form, wr in self._assign_refs(stmt):
-                pend_k.append(self._eval(form, env))
-                pend_w.append(wr)
-            return
-        if isinstance(stmt, Guard):
-            body = (
-                stmt.body if self._member(stmt, env) else stmt.else_body
-            )
-            for s in body:
-                self._emit(s, env, keys, writes, pend_k, pend_w, flush)
-            return
-        if isinstance(stmt, Loop):
-            if bounds is not None:
-                lo, hi = bounds
-            else:
-                lo = int(stmt.lower.affine().evaluate(env))
-                hi = int(stmt.upper.affine().evaluate(env))
-            if hi < lo:
-                return
-            try:
-                cols = self._flat_columns(stmt, lo, hi, env)
-            except _NonFlat:
-                cols = None
-            if cols is not None:
-                flush()
-                k, w = cols
-                if len(k):
-                    keys.append(k)
-                    writes.append(w)
-                return
-            for v in range(lo, hi + 1):
-                env[stmt.index] = v
-                for s in stmt.body:
-                    self._emit(
-                        s, env, keys, writes, pend_k, pend_w, flush
-                    )
-            env.pop(stmt.index, None)
-            return
-        if isinstance(stmt, CallStmt):
-            raise AnalysisError(
-                "coherence analysis requires inlined programs; "
-                f"found call to {stmt.proc!r}"
-            )
-        raise AnalysisError(
-            f"cannot enumerate statement {type(stmt).__name__}"
-        )
-
-    def _member(self, guard: Guard, env: Mapping[str, int]) -> bool:
-        v = env[guard.index]
-        for iv in guard.intervals:
-            lo = iv.lower.evaluate(env)
-            hi = iv.upper.evaluate(env)
-            if lo <= v <= hi:
-                return True
-        return False
-
-    def _flat_columns(self, loop: Loop, lo: int, hi: int, env):
-        """Vectorized emission of a loop with no nested loops.
-
-        Builds one (iterations × refs) key matrix plus an active mask
-        from guard membership, flattened iteration-major — exactly the
-        per-iteration statement order of the Python walk.
-        """
-        ivec = np.arange(lo, hi + 1, dtype=np.int64)
-        cols: list[tuple[np.ndarray, bool, Optional[np.ndarray]]] = []
-        self._flat_collect(loop.body, loop.index, ivec, env, None, cols)
-        if not cols:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        n = len(ivec)
-        r = len(cols)
-        mat = np.empty((n, r), dtype=np.int64)
-        wr = np.empty(r, dtype=bool)
-        mask = np.ones((n, r), dtype=bool)
-        for j, (col, is_w, cond) in enumerate(cols):
-            mat[:, j] = col
-            wr[j] = is_w
-            if cond is not None:
-                mask[:, j] = cond
-        flat_mask = mask.reshape(-1)
-        flat_keys = mat.reshape(-1)
-        flat_writes = np.tile(wr, n)
-        if flat_mask.all():
-            return flat_keys, flat_writes
-        return flat_keys[flat_mask], flat_writes[flat_mask]
-
-    def _flat_collect(self, body, var, ivec, env, cond, cols) -> None:
-        for stmt in body:
-            if isinstance(stmt, Assign):
-                for form, is_w in self._assign_refs(stmt):
-                    cols.append(
-                        (self._flat_eval(form, var, ivec, env), is_w, cond)
-                    )
-            elif isinstance(stmt, Guard):
-                member = self._flat_member(stmt, var, ivec, env)
-                take = member if cond is None else (cond & member)
-                self._flat_collect(
-                    stmt.body, var, ivec, env, take, cols
-                )
-                if stmt.else_body:
-                    skip = (
-                        ~member if cond is None else (cond & ~member)
-                    )
-                    self._flat_collect(
-                        stmt.else_body, var, ivec, env, skip, cols
-                    )
-            elif isinstance(stmt, Loop):
-                raise _NonFlat()
-            else:
-                raise _NonFlat()
-
-    def _flat_eval(self, form, var, ivec, env) -> np.ndarray:
-        const, terms = form
-        base = const
-        coeff = Fraction(0)
-        for n, c in terms:
-            if n == var:
-                coeff = c
-            else:
-                base += c * env[n]
-        if base.denominator != 1 or coeff.denominator != 1:
-            raise _NonFlat()  # fractional: fall back to exact Fractions
-        return int(base) + int(coeff) * ivec
-
-    def _flat_member(self, guard: Guard, var, ivec, env) -> np.ndarray:
-        if guard.index != var:
-            scalar = self._member(guard, env)
-            return np.full(len(ivec), scalar, dtype=bool)
-        member = np.zeros(len(ivec), dtype=bool)
-        for iv in guard.intervals:
-            lo_a, hi_a = iv.lower, iv.upper
-            if any(n == var for n, _ in lo_a.coeffs) or any(
-                n == var for n, _ in hi_a.coeffs
-            ):
-                raise _NonFlat()
-            lo = lo_a.evaluate(env)
-            hi = hi_a.evaluate(env)
-            member |= (ivec >= lo) & (ivec <= hi)
-        return member
-
-
-# -- stream assembly ----------------------------------------------------------
-
-
-def _program_columns(
-    program: Program,
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    steps: int,
-    parallel: frozenset[int],
-    max_accesses: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The merged (keys, writes, thread_ids) columns of the modeled
-    multi-thread execution — same partitioning, same drain order as
-    the dynamic replay."""
-    walker = _Walker(program, env)
-    out_k: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
-    out_t: list[np.ndarray] = []
-    total = 0
-    invocation = 0
-    for _ in range(steps):
-        for idx, stmt in enumerate(program.body):
-            if (
-                threads > 1
-                and idx in parallel
-                and isinstance(stmt, Loop)
-            ):
-                lo = int(stmt.lower.affine().evaluate(env))
-                hi = int(stmt.upper.affine().evaluate(env))
-                per_thread = schedule_chunks(
-                    lo, hi, threads, schedule, invocation
-                )
-                invocation += 1
-                cols = []
-                for chunks in per_thread:
-                    parts = [
-                        walker.nest(stmt, a, b) for a, b in chunks
-                    ]
-                    if parts:
-                        cols.append(
-                            (
-                                np.concatenate([p[0] for p in parts]),
-                                np.concatenate([p[1] for p in parts]),
-                            )
-                        )
-                    else:
-                        cols.append(
-                            (np.empty(0, np.int64), np.empty(0, bool))
-                        )
-                live = [
-                    (t, c) for t, c in enumerate(cols) if len(c[0])
-                ]
-                nk = sum(len(c[0]) for _, c in live)
-                mk = np.empty(nk, dtype=np.int64)
-                mw = np.empty(nk, dtype=bool)
-                mt = np.empty(nk, dtype=np.int32)
-                filled = 0
-                for i, p, q in round_robin_order(
-                    [len(c[0]) for _, c in live]
-                ):
-                    t, (ck, cw) = live[i]
-                    mk[filled : filled + (q - p)] = ck[p:q]
-                    mw[filled : filled + (q - p)] = cw[p:q]
-                    mt[filled : filled + (q - p)] = t
-                    filled += q - p
-                out_k.append(mk)
-                out_w.append(mw)
-                out_t.append(mt)
-                total += nk
-            else:
-                k, w = walker.nest(stmt)
-                if len(k):
-                    out_k.append(k)
-                    out_w.append(w)
-                    out_t.append(np.zeros(len(k), dtype=np.int32))
-                    total += len(k)
-            if total > max_accesses:
-                raise AnalysisError(
-                    f"coherence enumeration exceeds {max_accesses} "
-                    f"accesses at this size; raise max_accesses or "
-                    f"analyze a smaller instance"
-                )
-    if not out_k:
-        empty = np.empty(0, np.int64)
-        return empty, np.empty(0, bool), np.empty(0, np.int32)
-    return (
-        np.concatenate(out_k),
-        np.concatenate(out_w),
-        np.concatenate(out_t),
-    )
 
 
 # -- screens ------------------------------------------------------------------
@@ -787,183 +438,127 @@ def _may_share_element(
     return False
 
 
-# -- the line-level replay ----------------------------------------------------
+# -- classification -----------------------------------------------------------
 
 
-def _replay(
+def _multi_thread(ids: np.ndarray, tids: np.ndarray, threads: int) -> np.ndarray:
+    """The distinct ``ids`` that two or more threads touch."""
+    owners, counts = np.unique(
+        np.unique(ids * threads + tids) // threads, return_counts=True
+    )
+    return owners[counts > 1]
+
+
+def _true_invalidations(
+    keys: np.ndarray,
+    writes: np.ndarray,
+    tids: np.ndarray,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """Per position: did another thread write the same element earlier?
+
+    Per element it is enough to know the first write and the first
+    write by any thread other than the first writer."""
+    wpos = np.flatnonzero(writes)
+    if not len(wpos):
+        return np.zeros(len(positions), dtype=bool)
+    order = np.argsort(keys[wpos], kind="stable")
+    wpos = wpos[order]
+    wkeys = keys[wpos]
+    wtids = tids[wpos]
+    first = np.ones(len(wpos), dtype=bool)
+    first[1:] = wkeys[1:] != wkeys[:-1]
+    group = np.cumsum(first) - 1
+    elems = wkeys[first]
+    first_pos = wpos[first]
+    first_tid = wtids[first]
+    other = wtids != first_tid[group]
+    other_pos = np.full(len(elems), len(keys), dtype=np.int64)
+    g, at = np.unique(group[other], return_index=True)
+    other_pos[g] = wpos[other][at]
+
+    e = keys[positions]
+    t = tids[positions]
+    gi = np.minimum(np.searchsorted(elems, e), len(elems) - 1)
+    written = elems[gi] == e
+    before = np.where(t != first_tid[gi], first_pos[gi], other_pos[gi])
+    return written & (before < positions)
+
+
+def _array_summaries(
+    names: Sequence[str],
+    starts: np.ndarray,
+    line_elems: int,
     keys: np.ndarray,
     writes: np.ndarray,
     tids: np.ndarray,
     threads: int,
-    line_elems: int,
-    classify: np.ndarray,
-) -> tuple:
-    """The MSI owner-tracking automaton plus sharing classification.
+    inv_lines: np.ndarray,
+    inv_true: np.ndarray,
+) -> tuple[ArraySharing, ...]:
+    """Per-array line and invalidation counts over the classified
+    accesses; a line belongs to the array holding its first element."""
+    lines = keys // line_elems
+    shared = _multi_thread(lines, tids, threads)
+    true_lines = np.unique(
+        np.intersect1d(_multi_thread(keys, tids, threads), keys[writes])
+        // line_elems
+    )
+    is_true = np.isin(shared, true_lines)
+    is_false = ~is_true & np.isin(shared, lines[writes])
+    counted = np.isin(inv_lines, shared)
+    inv_lines = inv_lines[counted]
+    inv_true = inv_true[counted]
 
-    Same transition rules as :func:`repro.memsim.coherence.simulate_msi`
-    (valid set / ever set per line); additionally, accesses with
-    ``classify`` set participate in true/false sharing attribution:
-    an invalidation is *true* when another thread wrote the very
-    element before, *false* when only other elements of the line were
-    written.
-    """
-    n = len(keys)
-    cold = [0] * threads
-    inval = [0] * threads
-    upgrades = 0
-    line_valid: dict[int, int] = {}
-    line_ever: dict[int, int] = {}
-    elem_writers: dict[int, int] = {}
-    line_threads: dict[int, int] = {}
-    line_writes: dict[int, bool] = {}
-    elem_threads: dict[int, int] = {}
-    line_last: dict[int, dict[int, int]] = {}
-    line_stats: dict[int, list[int]] = {}  # line -> [inv, true, false]
-    raw_witnesses: list[tuple] = []
-    lines_arr = keys // line_elems
-    keys_l = keys.tolist()
-    lines_l = lines_arr.tolist()
-    writes_l = writes.tolist()
-    tids_l = tids.tolist()
-    cls_l = classify.tolist()
-    for i in range(n):
-        line = lines_l[i]
-        elem = keys_l[i]
-        t = tids_l[i]
-        bit = 1 << t
-        v = line_valid.get(line, 0)
-        is_inval = False
-        if not v & bit:
-            if line_ever.get(line, 0) & bit:
-                inval[t] += 1
-                is_inval = True
-            else:
-                cold[t] += 1
-        if writes_l[i]:
-            if v & ~bit:
-                upgrades += 1
-            line_valid[line] = bit
-        else:
-            line_valid[line] = v | bit
-        line_ever[line] = line_ever.get(line, 0) | bit
-        if not cls_l[i]:
-            continue
-        # sharing bookkeeping (classified arrays only)
-        line_threads[line] = line_threads.get(line, 0) | bit
-        et = elem_threads.get(elem, 0) | bit
-        elem_threads[elem] = et
-        if writes_l[i]:
-            line_writes[line] = True
-            elem_writers[elem] = elem_writers.get(elem, 0) | bit
-        if is_inval:
-            stats = line_stats.setdefault(line, [0, 0, 0])
-            stats[0] += 1
-            if elem_writers.get(elem, 0) & ~bit:
-                stats[1] += 1
-                kind = "true"
-                other_bits = elem_writers[elem] & ~bit
-                other = (other_bits & -other_bits).bit_length() - 1
-                other_elem = elem
-            else:
-                stats[2] += 1
-                kind = "false"
-                last = line_last.get(line, {})
-                other = next(
-                    (u for u in last if u != t), None
-                )
-                other_elem = last.get(other) if other is not None else None
-            if (
-                len(raw_witnesses) < MAX_WITNESSES
-                and other is not None
-                and other_elem is not None
-                and not any(w[0] == line for w in raw_witnesses)
-            ):
-                raw_witnesses.append(
-                    (line, kind, other, t, other_elem, elem)
-                )
-        line_last.setdefault(line, {})[t] = elem
-    return (
-        cold,
-        inval,
-        upgrades,
-        line_threads,
-        line_writes,
-        elem_threads,
-        elem_writers,
-        line_stats,
-        raw_witnesses,
+    def per_array(line_ids: np.ndarray) -> np.ndarray:
+        owner = np.searchsorted(starts, line_ids * line_elems, side="right")
+        return np.bincount(owner - 1, minlength=len(names))
+
+    rows = np.stack(
+        [
+            per_array(shared),
+            per_array(shared[is_true]),
+            per_array(shared[is_false]),
+            per_array(inv_lines),
+            per_array(inv_lines[inv_true]),
+            per_array(inv_lines[~inv_true]),
+        ],
+        axis=1,
+    )
+    return tuple(
+        ArraySharing(name, *(int(v) for v in row))
+        for name, row in sorted(zip(names, rows.tolist()))
+        if row[0]
     )
 
 
-# -- witness recovery ---------------------------------------------------------
-
-
-def _find_iteration(
-    walker: _Walker,
+def _bindings(
     program: Program,
-    parallel: frozenset[int],
     env: Mapping[str, int],
     threads: int,
+    steps: int,
     schedule: str,
-    thread: int,
-    target_key: int,
-) -> tuple[tuple[str, int], ...]:
-    """Loop-variable bindings of the first access of ``thread`` that
-    touches ``target_key``, by a bounded Python re-walk."""
-    budget = [_WITNESS_WALK_CAP]
-    found: list[tuple[tuple[str, int], ...]] = []
+    parallel: frozenset[int],
+    tids: np.ndarray,
+    positions: Sequence[int],
+) -> dict[int, tuple[tuple[str, int], ...]]:
+    """Loop-variable bindings of the accesses at ``positions`` of the
+    merged stream.  An access's rank among its thread's accesses is its
+    index into that thread's serial program."""
+    from ..interp.interleave import thread_program
+    from ..interp.tracegen import access_bindings
 
-    def walk(stmt, e) -> bool:
-        if budget[0] <= 0:
-            return False
-        if isinstance(stmt, Assign):
-            budget[0] -= 1
-            for form, _ in walker._assign_refs(stmt):
-                if walker._eval(form, e) == target_key:
-                    loops = [
-                        (k, v)
-                        for k, v in e.items()
-                        if k not in walker.env
-                    ]
-                    found.append(tuple(loops))
-                    return True
-            return False
-        if isinstance(stmt, Guard):
-            body = (
-                stmt.body if walker._member(stmt, e) else stmt.else_body
-            )
-            return any(walk(s, e) for s in body)
-        if isinstance(stmt, Loop):
-            lo = int(stmt.lower.affine().evaluate(e))
-            hi = int(stmt.upper.affine().evaluate(e))
-            for v in range(lo, hi + 1):
-                e[stmt.index] = v
-                if any(walk(s, e) for s in stmt.body):
-                    return True
-                if budget[0] <= 0:
-                    break
-            e.pop(stmt.index, None)
-            return False
-        return False
-
-    for idx, stmt in enumerate(program.body):
-        if (
-            threads > 1
-            and idx in parallel
-            and isinstance(stmt, Loop)
-        ):
-            e = dict(env)
-            lo = int(stmt.lower.affine().evaluate(e))
-            hi = int(stmt.upper.affine().evaluate(e))
-            for a, b in schedule_chunks(lo, hi, threads, schedule)[thread]:
-                for v in range(a, b + 1):
-                    e[stmt.index] = v
-                    if any(walk(s, e) for s in stmt.body):
-                        return found[0]
-        elif thread == 0:
-            if walk(stmt, dict(env)):
-                return found[0]
-    return ()
+    out: dict[int, tuple[tuple[str, int], ...]] = {}
+    for t in sorted({int(tids[p]) for p in positions}):
+        mine = sorted({p for p in positions if tids[p] == t})
+        ranks = np.cumsum(tids == t)[mine] - 1
+        found = access_bindings(
+            thread_program(program, env, threads, t, steps, schedule, parallel),
+            env,
+            ranks.tolist(),
+        )
+        out.update(zip(mine, found))
+    return out
 
 
 # -- entry point --------------------------------------------------------------
@@ -982,11 +577,16 @@ def analyze_coherence(
 ) -> CoherenceProfile:
     """Predict the coherence behaviour of a ``threads``-way execution.
 
-    Purely static: accesses are enumerated from the affine model,
-    partitioned by the shared schedule machinery, ordered by the
-    round-robin drain contract, and replayed through the MSI
-    owner-tracking automaton at ``line_bytes`` granularity.
+    The nests the parallelism analyzer proves parallel are partitioned
+    and interleaved by :func:`repro.interp.interleave_trace`; the merged
+    stream is replayed through the MSI owner-tracking automaton at
+    ``line_bytes`` granularity and its invalidations are classified.
     """
+    # lazy: the interpreter imports the static package lazily too, so
+    # neither package imports the other at module scope
+    from ..interp.interleave import interleave_trace
+    from ..interp.tracegen import trace_length
+    from ..memsim.coherence import simulate_msi
     from ..memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 
     if threads < 1:
@@ -1004,70 +604,86 @@ def analyze_coherence(
         if parallelism is None:
             parallelism = analyze_parallelism(program, params)
         parallel = frozenset(parallelism.parallel_nests())
-        model = build_model(program)
-        walker = _Walker(program, env)
+        if trace_length(program, env) * steps > max_accesses:
+            raise AnalysisError(
+                f"coherence analysis exceeds {max_accesses} "
+                f"accesses at this size; raise max_accesses or "
+                f"analyze a smaller instance"
+            )
+        # global keys lay the arrays back to back in declaration order
+        names = [decl.name for decl in program.arrays]
+        sizes = np.array(
+            [math.prod(decl.shape(env)) for decl in program.arrays],
+            dtype=np.int64,
+        )
+        starts = np.cumsum(sizes) - sizes
         line_private, elem_private = _screen_arrays(
-            model, parallel, env, threads, schedule,
-            line_elems, walker.strides, walker.bases,
+            build_model(program), parallel, env, threads, schedule,
+            line_elems, _strides(program, env),
+            dict(zip(names, starts.tolist())),
         )
-        keys, writes_col, tids = _program_columns(
-            program, env, threads, schedule, steps, parallel,
-            max_accesses,
+        run = interleave_trace(
+            program, env, threads, steps, schedule,
+            parallel_nests=parallel,
         )
-        # classification is skipped for arrays the hull screen proved
-        # line-private — they cannot contribute sharing
-        classify = np.ones(len(keys), dtype=bool)
-        if line_private:
-            # global keys of a private array form one contiguous range
-            for name in line_private:
-                base = walker.bases[name]
-                decl_size = 1
-                for extent in _array_shape(program, name, env):
-                    decl_size *= extent
-                in_range = (keys >= base) & (keys < base + decl_size)
-                classify &= ~in_range
-        (
-            cold,
-            inval,
-            upgrades,
-            line_threads,
-            line_writes,
-            elem_threads,
-            elem_writers,
-            line_stats,
-            raw_witnesses,
-        ) = _replay(keys, writes_col, tids, threads, line_elems, classify)
+        keys = np.asarray(run.merged)
+        writes = np.asarray(run.merged.writes, dtype=bool)
+        tids = run.merged_threads
+        msi = simulate_msi(keys // line_elems, writes, tids, threads)
 
-        arrays = _array_summaries(
-            program, env, walker, line_elems,
-            line_threads, line_writes, elem_threads, elem_writers,
-            line_stats,
+        # arrays the hull screen proved line-private cannot contribute
+        # sharing: their contiguous key ranges are left unclassified
+        classify = np.ones(len(keys), dtype=bool)
+        for k, name in enumerate(names):
+            if name in line_private:
+                classify &= (keys < starts[k]) | (keys >= starts[k] + sizes[k])
+        inv_pos = np.flatnonzero(msi.invalidation_mask & classify)
+        inv_true = _true_invalidations(
+            keys, writes & classify, tids, inv_pos
         )
+        inv_lines = keys[inv_pos] // line_elems
+        arrays = _array_summaries(
+            names, starts, line_elems,
+            keys[classify], writes[classify], tids[classify], threads,
+            inv_lines, inv_true,
+        )
+
         witness_objs: list[SharingWitness] = []
         if witnesses:
-            for line, kind, ta, tb, ea, eb in raw_witnesses:
-                array = _array_of_key(walker, program, env, ea)
-                iter_a = _find_iteration(
-                    walker, program, parallel, env, threads, schedule,
-                    ta, ea,
-                )
-                iter_b = _find_iteration(
-                    walker, program, parallel, env, threads, schedule,
-                    tb, eb,
-                )
+            # (inv index, position of the colliding write) per witness
+            picks = []
+            _, first = np.unique(inv_lines, return_index=True)
+            for k in np.sort(first)[:MAX_WITNESSES].tolist():
+                pos = inv_pos[k]
+                if inv_true[k]:
+                    # the last write of the same element by another thread
+                    hit = (keys[:pos] == keys[pos]) & (tids[:pos] != tids[pos])
+                else:
+                    # the write that took the line away
+                    hit = keys[:pos] // line_elems == inv_lines[k]
+                picks.append((k, int(np.flatnonzero(hit & writes[:pos])[-1])))
+            bindings = _bindings(
+                program, env, threads, steps, schedule, parallel, tids,
+                [p for k, other in picks for p in (other, int(inv_pos[k]))],
+            )
+            for k, other in picks:
+                pos = int(inv_pos[k])
+                line = int(inv_lines[k])
+                elem_a, elem_b = int(keys[other]), int(keys[pos])
+                owner = np.searchsorted(starts, line * line_elems, "right")
                 witness_objs.append(
                     SharingWitness(
-                        array=array,
-                        line=int(line),
-                        kind=kind,
-                        thread_a=int(ta),
-                        thread_b=int(tb),
-                        elem_a=int(ea),
-                        elem_b=int(eb),
-                        offset_a=int(ea % line_elems),
-                        offset_b=int(eb % line_elems),
-                        iter_a=iter_a,
-                        iter_b=iter_b,
+                        array=names[owner - 1],
+                        line=line,
+                        kind="true" if inv_true[k] else "false",
+                        thread_a=int(tids[other]),
+                        thread_b=int(tids[pos]),
+                        elem_a=elem_a,
+                        elem_b=elem_b,
+                        offset_a=elem_a % line_elems,
+                        offset_b=elem_b % line_elems,
+                        iter_a=bindings[other],
+                        iter_b=bindings[pos],
                     )
                 )
         metrics.inc("analysis.coherence.profiles")
@@ -1081,98 +697,11 @@ def analyze_coherence(
             line_bytes=lb,
             parallel_nests=tuple(sorted(parallel)),
             accesses=len(keys),
-            cold=tuple(int(c) for c in cold),
-            invalidations=tuple(int(v) for v in inval),
-            upgrades=int(upgrades),
+            cold=tuple(int(c) for c in msi.cold),
+            invalidations=tuple(int(v) for v in msi.invalidations),
+            upgrades=msi.total_upgrades,
             arrays=arrays,
             witnesses=tuple(witness_objs),
             screened_out=tuple(sorted(line_private)),
             false_only=tuple(sorted(elem_private)),
         )
-
-
-def _array_shape(
-    program: Program, name: str, env: Mapping[str, int]
-) -> tuple[int, ...]:
-    for decl in program.arrays:
-        if decl.name == name:
-            return tuple(decl.shape(env))
-    return ()
-
-
-def _array_of_key(
-    walker: _Walker, program: Program, env: Mapping[str, int], key: int
-) -> str:
-    best = ""
-    for decl in program.arrays:
-        base = walker.bases[decl.name]
-        if base <= key:
-            size = 1
-            for extent in decl.shape(env):
-                size *= extent
-            if key < base + size:
-                return decl.name
-            best = decl.name
-    return best
-
-
-def _array_summaries(
-    program: Program,
-    env: Mapping[str, int],
-    walker: _Walker,
-    line_elems: int,
-    line_threads: dict,
-    line_writes: dict,
-    elem_threads: dict,
-    elem_writers: dict,
-    line_stats: dict,
-) -> tuple[ArraySharing, ...]:
-    # bucket lines / elements back onto arrays via the base table
-    bounds = []
-    for decl in program.arrays:
-        base = walker.bases[decl.name]
-        size = 1
-        for extent in decl.shape(env):
-            size *= extent
-        bounds.append((decl.name, base, base + size))
-
-    def array_of(key: int) -> str:
-        for name, lo, hi in bounds:
-            if lo <= key < hi:
-                return name
-        return bounds[-1][0] if bounds else ""
-
-    # which lines have a cross-thread element write (true sharing)
-    true_lines: set[int] = set()
-    for elem, writers in elem_writers.items():
-        others = elem_threads.get(elem, 0) & ~writers
-        multi_writer = writers & (writers - 1)
-        if multi_writer or (writers and others):
-            true_lines.add(elem // line_elems)
-    per_array: dict[str, list[int]] = {}
-    for line, tmask in line_threads.items():
-        if tmask & (tmask - 1) == 0:
-            continue  # single thread: not shared
-        name = array_of(line * line_elems)
-        stats = line_stats.get(line, [0, 0, 0])
-        row = per_array.setdefault(name, [0, 0, 0, 0, 0, 0])
-        row[0] += 1
-        if line in true_lines:
-            row[1] += 1
-        elif line_writes.get(line):
-            row[2] += 1
-        row[3] += stats[0]
-        row[4] += stats[1]
-        row[5] += stats[2]
-    return tuple(
-        ArraySharing(
-            array=name,
-            shared_lines=row[0],
-            true_lines=row[1],
-            false_lines=row[2],
-            invalidations=row[3],
-            true_invalidations=row[4],
-            false_invalidations=row[5],
-        )
-        for name, row in sorted(per_array.items())
-    )

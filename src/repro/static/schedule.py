@@ -2,10 +2,12 @@
 
 One implementation of "which thread runs which iterations" serves both
 sides of the multicore cross-validation: the static predictor
-(``repro.static.multicore``, ``repro.static.coherence``) and the
-dynamic interleaved replay (``repro.interp.interleave``).  The static
-package never imports the interpreter, so the helper lives here and the
-interpreter imports it — the acyclic direction.
+(``repro.static.multicore`` and the coherence screens) and the
+interleaved replay (``repro.interp.interleave``), which the coherence
+analyzer replays in turn.  This module imports nothing from the
+interpreter; the interpreter and ``repro.static.coherence`` import each
+other's package only inside functions, so neither package imports the
+other at module scope.
 
 Supported schedule specs (OpenMP ``schedule`` clause syntax):
 
@@ -169,12 +171,9 @@ def round_robin_order(
     ``block`` accesses.  Streams drop out as they drain (threads with
     smaller chunks finish early and wait at the barrier).
 
-    This is the exact interleaving contract shared by the dynamic
-    replay (``repro.interp.interleave``) and the static coherence
-    analyzer (``repro.static.coherence``) — both order a parallel
-    nest's accesses with this function, which is what lets predicted
-    invalidation-miss totals match the MSI oracle exactly when the
-    enumerated streams match.
+    ``repro.interp.interleave`` orders every parallel nest's accesses
+    with this function; the coherence analyzer and the MSI oracle
+    replay that one merged stream.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")

@@ -211,21 +211,6 @@ class AddressStream:
         return cls(addresses, trace.writes, trace.ref_ids, meta=meta)
 
     @classmethod
-    def from_keys(
-        cls,
-        keys: np.ndarray,
-        name: str = "keys",
-        source: str = "interleave",
-    ) -> "AddressStream":
-        """A read-only stream of canonical element keys."""
-        from ..memsim.geometry import ELEM_BYTES
-
-        meta = StreamMeta(
-            name=name, source=source, unit="elements", elem_bytes=ELEM_BYTES
-        )
-        return cls(np.asarray(keys, dtype=np.int64), meta=meta)
-
-    @classmethod
     def concat(
         cls, streams: Sequence["AddressStream"], name: str = "concat"
     ) -> "AddressStream":

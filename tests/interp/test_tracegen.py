@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.interp import trace_program
+from repro.interp.tracegen import access_bindings, trace_length
 from repro.interp.interpreter import Interpreter
 from repro.lang import AnalysisError, ArrayRef, Assign, array_reads, parse
 
@@ -96,6 +97,53 @@ def test_trace_matches_interpreter_order(source, n):
         assert name == oname, f"access {k}: array {name} != {oname}"
         assert wr == owr, f"access {k}: write flag"
         assert elem == canonical(p, params, oname, osubs), f"access {k}: element"
+
+
+def reference_bindings(program, params):
+    """Oracle: the loop bindings of every access, outermost first, as the
+    reference interpreter holds them when it executes the statement."""
+    out = []
+
+    class Tracer(Interpreter):
+        def exec_stmt(self, stmt):
+            if isinstance(stmt, Assign):
+                env = tuple(
+                    (k, v) for k, v in self._env.items() if k not in params
+                )
+                refs = len(array_reads(stmt.expr))
+                refs += isinstance(stmt.target, ArrayRef)
+                out.extend([env] * refs)
+            super().exec_stmt(stmt)
+
+    Tracer(program, params).run()
+    return out
+
+
+BINDING_PROGRAMS = PROGRAMS + [
+    """
+    program toplevel
+    param N
+    real A[N, N], B[N]
+    B[1] = B[N]
+    for i = 1, N {
+      for j = i, N { A[j, i] = f(B[j]) }
+      for k = N, 1 { B[k] = 0.0 }
+    }
+    B[N] = B[1]
+    """,
+]
+
+
+@pytest.mark.parametrize("source", BINDING_PROGRAMS)
+@pytest.mark.parametrize("n", [5, 8])
+def test_access_bindings_match_interpreter(source, n):
+    p = build(source)
+    params = {"N": n}
+    oracle = reference_bindings(p, params)
+    assert trace_length(p, params) == len(oracle)
+    assert access_bindings(p, params, range(len(oracle))) == oracle
+    with pytest.raises(IndexError):
+        access_bindings(p, params, [len(oracle)])
 
 
 def test_instruction_ids_monotone_and_grouped():

@@ -5,12 +5,14 @@ For randomly generated affine nests — including triangular bounds and
 (its own ceil-block / chunked / guided partitioner, its own one-access
 round-robin merge, its own set-based MSI automaton) computes per-thread
 cold and invalidation misses at line granularity.  The analyzer's
-static prediction must match it exactly, and its classification claims
+prediction must match it exactly, and its classification claims
 must hold up:
 
 * per-thread invalidation, cold, and upgrade counts are equal;
 * every witness names two elements that really share the line, with
-  ``kind`` matching element identity (same element = true sharing);
+  ``kind`` matching element identity (same element = true sharing),
+  and loop bindings whose iterations really make the two accesses —
+  the first of them a write;
 * arrays the hull screen discarded as line-private really suffer no
   invalidations in the brute-force replay.
 
@@ -250,6 +252,12 @@ def test_witnesses_and_screens_hold_up(case):
             assert w.elem_a == w.elem_b, (w.render(), spec)
         else:
             assert w.elem_a != w.elem_b, (w.render(), spec)
+        # the bindings locate both accesses; side a is the colliding write
+        a, b = dict(w.iter_a), dict(w.iter_b)
+        assert (w.elem_a, True) in iteration_accesses(spec, a["i"], a["j"])
+        assert w.elem_b in [
+            key for key, _ in iteration_accesses(spec, b["i"], b["j"])
+        ], (w.render(), spec)
     # arrays discarded as line-private really have no invalidations
     if prof.screened_out:
         partitioned = 0 in parallelism.parallel_nests() and threads > 1
