@@ -77,7 +77,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import OPT_LEVELS, compile_pipeline, compile_variant
-from .engines import TRACE_ENGINES, engine_spec
 from .core.pm import (
     PIPELINES,
     custom_pipeline,
@@ -512,20 +511,15 @@ def _resolve_trace_target(args: argparse.Namespace):
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
     """Trace one (program, level) and write the address stream to disk."""
-    from .engines import resolve_engines
+    from .codegen import trace_program
     from .stream import AddressStream, write_stream, write_stream_csv
 
     program, params, steps, _ = _resolve_trace_target(args)
     variant = compile_variant(program, args.level)
     layout = variant.layout(params)
-    selection = resolve_engines(args.engine)
-    if selection.tracer == "codegen":
-        from .codegen import trace_program as tracer
-    else:
-        from .interp import trace_program as tracer
-    trace = tracer(variant.program, params, steps=steps)
+    trace = trace_program(variant.program, params, steps=steps)
     stream = AddressStream.from_trace(
-        trace, layout, name=f"{program.name}/{args.level}", source=selection.tracer
+        trace, layout, name=f"{program.name}/{args.level}", source="codegen"
     )
     out = Path(args.output)
     as_csv = args.format == "csv" or (args.format == "auto" and out.suffix == ".csv")
@@ -553,7 +547,6 @@ def _warn_missing_geometry(stream) -> None:
 
 def cmd_trace_import(args: argparse.Namespace) -> int:
     """Load a stream from disk (ours or foreign CSV) and simulate it."""
-    from .engines import resolve_engines
     from .memsim import (
         BANDWIDTH_HEADERS,
         MACHINES,
@@ -573,8 +566,7 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
         machine = machine_for(registry.get(args.app).machine_spec)
     else:
         machine = machine_for(MachineSpec())
-    engine = resolve_engines(args.engine).sim
-    stats = simulate_stream(stream, machine, engine=engine)
+    stats = simulate_stream(stream, machine, engine=args.engine)
     print(f"{args.file}: {stream!r}")
     print(
         f"{machine.name}: L1 misses {stats.l1_misses:,}, "
@@ -651,7 +643,7 @@ def _membw_results(app: str, levels: list[str], args: argparse.Namespace):
 
 def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
     """Export -> import -> re-simulate must reproduce the direct stats."""
-    from .engines import resolve_engines
+    from .codegen import trace_program
     from .memsim import simulate_stream
     from .stream import (
         AddressStream,
@@ -666,17 +658,12 @@ def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
     variant = compile_variant(program, "new")
     params = dict(entry.default_params)
     layout = variant.layout(params)
-    selection = resolve_engines(args.engine)
-    if selection.tracer == "codegen":
-        from .codegen import trace_program as tracer
-    else:
-        from .interp import trace_program as tracer
-    trace = tracer(variant.program, params, steps=entry.steps)
+    trace = trace_program(variant.program, params, steps=entry.steps)
     stream = AddressStream.from_trace(
-        trace, layout, name="adi/new", source=selection.tracer
+        trace, layout, name="adi/new", source="codegen"
     )
     machine = machine_for(entry.machine_spec)
-    direct = simulate_stream(stream, machine, engine=selection.sim)
+    direct = simulate_stream(stream, machine, engine=args.engine)
     with tempfile.TemporaryDirectory(prefix="repro-membw-") as tmp:
         for fmt, writer in (("binary", write_stream), ("csv", write_stream_csv)):
             path = Path(tmp) / ("t.ast" if fmt == "binary" else "t.csv")
@@ -685,7 +672,7 @@ def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
             if loaded.fingerprint() != stream.fingerprint():
                 failures.append(f"round-trip ({fmt}): stream fingerprint changed")
                 continue
-            replayed = simulate_stream(loaded, machine, engine=selection.sim)
+            replayed = simulate_stream(loaded, machine, engine=args.engine)
             if replayed != direct:
                 failures.append(
                     f"round-trip ({fmt}): simulation diverged after "
@@ -932,6 +919,21 @@ def _schedule_spec(spec: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def _thread_count(text: str) -> int:
+    """argparse type: a thread count of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid thread count {text!r}"
+        ) from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be >= 1, got {threads}"
+        )
+    return threads
 
 
 def _diag_counts(bag) -> dict[str, int]:
@@ -1494,10 +1496,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_args = argparse.ArgumentParser(add_help=False)
     engine_args.add_argument(
-        "--engine", type=engine_spec, default=None, metavar="SPEC",
-        help="engine spec: a simulation engine "
-        f"({'|'.join(ENGINES)}), a tracer ({'|'.join(TRACE_ENGINES)}), "
-        "or both joined by '+' (e.g. fast+interp)",
+        "--engine", choices=ENGINES, default=None,
+        help="cache-simulation engine (default: $REPRO_ENGINE, else fast)",
     )
     verify_args = argparse.ArgumentParser(add_help=False)
     verify_args.add_argument(
@@ -1556,7 +1556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "misses, true/false sharing lines)",
     )
     report.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count for the --parallelism and --coherence "
         "predictions (default 4)",
     )
@@ -1764,7 +1764,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level to apply before analysis (default: none)",
     )
     par.add_argument(
-        "--threads", type=int, default=None, metavar="T",
+        "--threads", type=_thread_count, default=None, metavar="T",
         help="also predict per-thread private + shared cache reuse at T threads",
     )
     par.add_argument(
@@ -1797,7 +1797,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level to apply before analysis (default: none)",
     )
     coh.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count to model (default 4)",
     )
     coh.add_argument(
@@ -1879,7 +1879,7 @@ def build_parser() -> argparse.ArgumentParser:
         "predicted bytes moved (misses weighted by line size)",
     )
     tune.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count for --objective parallel-misses (default 4)",
     )
     tune.add_argument(

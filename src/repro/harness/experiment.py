@@ -19,14 +19,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
+from .. import codegen
 from ..core import CompiledVariant, compile_pipeline, compile_variant
 from ..core.fusion import FusionOptions
-from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
-from ..interp import trace_program
 from ..interp.trace import AccessTrace
-from ..lang import Program, validate
+from ..lang import Program, SimulationError, validate
 from ..memsim import (
+    ENGINES,
     MACHINES,
     MachineConfig,
     MemStats,
@@ -92,26 +92,21 @@ def stage_timer(timings: dict, stage: str):
 
 
 def _generate_trace(
-    selection: EngineSelection,
     program: Program,
     params: Mapping[str, int],
     steps: int,
     timings: dict,
 ) -> AccessTrace:
-    """Generate the trace with the selected tracer, under the pinned span.
+    """Generate the trace with the codegen tracer, under the pinned span.
 
-    Both tracers produce bit-for-bit identical traces (the contract the
-    differential suite under ``tests/codegen/`` enforces), so callers —
-    and the trace cache — never observe which one ran except through the
-    ``tracer`` span attribute and the ``codegen.*`` metrics.
+    The codegen tracer is proven bit-for-bit identical to the
+    interpreter-based generator (the differential suite under
+    ``tests/codegen/``) and falls back to it per nest, so it is the one
+    production path.  It is resolved at call time so instrumentation
+    that wraps ``repro.codegen.trace_program`` sees every trace.
     """
-    with span("trace-gen", steps=steps, tracer=selection.tracer) as sp:
-        if selection.tracer == "codegen":
-            from ..codegen import trace_program as codegen_trace_program
-
-            trace = codegen_trace_program(program, params, steps=steps)
-        else:
-            trace = trace_program(program, params, steps=steps)
+    with span("trace-gen", steps=steps) as sp:
+        trace = codegen.trace_program(program, params, steps=steps)
     timings["trace-gen"] = sp.duration_s
     metrics.inc("trace.generated")
     metrics.inc("trace.accesses", len(trace))
@@ -137,7 +132,7 @@ def measure_variant(
     name: Optional[str] = None,
     fusion_options: Optional[FusionOptions] = None,
     regroup_options: Optional[RegroupOptions] = None,
-    engine: Union[None, str, EngineSelection] = None,
+    engine: Optional[str] = None,
     cache: Optional[TraceCache] = None,
     verify: Union[bool, PassVerifier] = False,
     result_cache: bool = True,
@@ -145,14 +140,12 @@ def measure_variant(
 ) -> VariantResult:
     """Compile at ``level``, trace, and simulate one program variant.
 
-    ``engine`` is a spec per :func:`repro.engines.resolve_engines`: a
-    simulation engine (``"fast"``/``"reference"``), a tracer
-    (``"codegen"``/``"interp"``), or both (``"fast+interp"``).  ``cache``
+    ``engine`` names the simulation engine (``"fast"``/``"reference"``;
+    default per :func:`repro.memsim.default_engine`).  ``cache``
     replays address streams — and whole results, when the machine and
-    simulation engine also match — from disk instead of re-tracing
-    (tracers produce bit-identical traces, so trace/result entries are
-    shared across them); ``result_cache=False``
-    keeps the trace cache but always re-simulates (benchmarking).
+    simulation engine also match — from disk instead of re-tracing;
+    ``result_cache=False`` keeps the trace cache but always
+    re-simulates (benchmarking).
     ``verify`` threads a pass-legality check through
     :func:`~repro.core.compile_variant` (True, or a
     :class:`~repro.verify.PassVerifier` whose history the caller wants).
@@ -161,8 +154,11 @@ def measure_variant(
     :class:`~repro.core.PipelineSpec` (``level`` stays the row label).
     Per-stage seconds land in :attr:`VariantResult.timings`.
     """
-    selection = resolve_engines(engine)
-    engine = selection.sim
+    engine = engine or default_engine()
+    if engine not in ENGINES:
+        raise SimulationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
     timings: dict[str, float] = {}
     with span("compile", level=level) as sp:
         if pipeline is not None:
@@ -207,13 +203,10 @@ def measure_variant(
                 return _result(stats, stats.accesses)
         stream = cache.load_trace(tkey)
         if stream is None:
-            trace = _generate_trace(selection, variant.program, params, steps, timings)
+            trace = _generate_trace(variant.program, params, steps, timings)
             with span("addresses") as sp:
                 stream = AddressStream.from_trace(
-                    trace,
-                    layout,
-                    name=name or program.name,
-                    source=selection.tracer,
+                    trace, layout, name=name or program.name, source="codegen"
                 )
             timings["addresses"] = sp.duration_s
             cache.store_trace(tkey, stream)
@@ -222,7 +215,7 @@ def measure_variant(
             cache.store_result(rkey, stats)
         return _result(stats, len(stream))
 
-    trace = _generate_trace(selection, variant.program, params, steps, timings)
+    trace = _generate_trace(variant.program, params, steps, timings)
     stats = simulate_hierarchy(
         trace, layout, machine, engine=engine, timings=timings
     )
@@ -240,7 +233,7 @@ def trace_for(
     entry = registry.get(app)
     program = validate(entry.build())
     variant = compile_variant(program, level)
-    return trace_program(
+    return codegen.trace_program(
         variant.program,
         params or entry.default_params,
         steps=entry.steps if steps is None else steps,

@@ -73,8 +73,8 @@ class RunRequest:
     name: Optional[str] = None
     fusion_options: Optional[object] = None
     regroup_options: Optional[object] = None
-    #: engine spec per :func:`repro.engines.resolve_engines`, e.g.
-    #: "fast", "codegen", or "reference+interp"
+    #: cache-simulation engine, "fast" or "reference" (default per
+    #: :func:`repro.memsim.default_engine`)
     engine: Optional[str] = None
     cache: Union[None, bool, str, Path, TraceCache] = None
     verify: Union[bool, PassVerifier] = False

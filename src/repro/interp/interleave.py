@@ -6,10 +6,20 @@ OpenMP runtime would — every top-level nest whose outermost axis is
 parallel (DOALL or reduction per the static parallelism analyzer) is
 partitioned over its outer range by an OpenMP schedule
 (:mod:`repro.static.schedule`: ``static``, ``static,k``, ``guided``,
-``dynamic``), each thread traces its own chunks, and the per-chunk
-streams are merged round-robin ``block`` accesses at a time.  Serial
-nests run entirely on thread 0.  An implicit barrier separates
+``dynamic``), each thread runs its own iterations in order, and the
+per-thread streams are merged round-robin one access at a time; a
+thread that runs out of accesses drops out while the others drain.
+Serial nests run entirely on thread 0.  An implicit barrier separates
 consecutive nests (and steps), exactly like OpenMP's parallel-for join.
+
+Every run is a permutation of one serial trace: tracing is value-free,
+so a thread's accesses in a nest are the serial accesses of the outer
+iterations the schedule gives it, in serial order.  The serial stream
+comes from one :func:`repro.codegen.trace_program` call; each access's
+thread follows from its outer iteration (per-iteration access counts
+from :func:`repro.codegen.iteration_counts`), and each parallel nest
+invocation is reordered by a stable sort on (rank within its thread,
+thread id).
 
 Two views come out of a run, both as typed
 :class:`~repro.stream.AddressStream` objects in element units (the
@@ -20,33 +30,27 @@ consumers see the key column directly):
     the interleaved access stream every thread sees — feed it to
     :func:`~repro.locality.reuse_distances` to model a *shared* cache;
 ``per_thread``
-    each thread's own stream (its chunks plus, for thread 0, the serial
-    nests) — the *private*-cache view.
+    each thread's own stream (its iterations plus, for thread 0, the
+    serial nests) — the *private*-cache view.
 
-Both views carry the interpreter's write mask, and the merged view also
-records which thread issued every access (``merged_threads``), so the
-per-line MSI coherence oracle (:mod:`repro.memsim.coherence`) can replay
-invalidations over the exact interleaving.
-
-Tracing a nest per thread re-uses the ordinary :func:`trace_program`
-machinery on a program whose body is that thread's chunk loops; all
-array declarations are kept, so ``global_keys`` agree across every
-segment.  :func:`thread_program` is the same partition as one serial
-program per thread, which is how an access of the merged stream is
-mapped back to its loop iteration.
+Both views carry the write mask.  The merged view also records which
+thread issued every access (``merged_threads``), so the per-line MSI
+coherence oracle (:mod:`repro.memsim.coherence`) can replay
+invalidations over the exact interleaving, and where every access sits
+in the serial trace (``serial_positions``), which maps it back to its
+loop iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Loop, Program, Stmt
+from ..lang import Loop, Program
 from ..obs import metrics, span
 from ..stream import AddressStream
-from .tracegen import trace_program
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,15 @@ class InterleavedRun:
     program_name: str
     threads: int
     schedule: str
-    block: int
     parallel_nests: tuple[int, ...]
     merged: AddressStream  # global keys, round-robin interleaved
     per_thread: tuple[AddressStream, ...]  # each thread's private stream
     #: issuing thread of every merged access (int32, aligned with
     #: ``merged``) — the coherence oracle's third column
     merged_threads: np.ndarray
+    #: index of every merged access in the serial trace (int64,
+    #: aligned with ``merged``): ``merged = serial[serial_positions]``
+    serial_positions: np.ndarray
 
     @property
     def total(self) -> int:
@@ -75,7 +81,6 @@ def interleave_trace(
     threads: int,
     steps: int = 1,
     schedule: str = "static",
-    block: int = 1,
     parallel_nests: Optional[Sequence[int]] = None,
 ) -> InterleavedRun:
     """Simulate a ``threads``-way OpenMP-style execution of ``program``.
@@ -86,9 +91,10 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # lazy: the static package imports this module lazily too, so
-    # neither package imports the other at module scope
-    from ..static.schedule import parse_schedule, round_robin_order
+    # lazy: codegen and the static package import this package, so
+    # neither is imported here at module scope
+    from ..codegen import iteration_counts, trace_program
+    from ..static.schedule import parse_schedule, schedule_assignments
 
     parse_schedule(schedule)  # validate the spec before tracing
     if parallel_nests is None:
@@ -105,157 +111,71 @@ def interleave_trace(
         threads=threads,
         schedule=schedule,
     ):
-        merged_keys: list[np.ndarray] = []
-        merged_writes: list[np.ndarray] = []
-        merged_tids: list[np.ndarray] = []
-        priv_keys: list[list[np.ndarray]] = [[] for _ in range(threads)]
-        priv_writes: list[list[np.ndarray]] = [[] for _ in range(threads)]
-        for stmt, per_thread in _partition(
-            program, params, threads, steps, schedule, parallel
-        ):
-            if per_thread is not None:
-                columns = [
-                    _columns(program, loops, params) for loops in per_thread
-                ]
-                for t, (keys, writes) in enumerate(columns):
-                    if len(keys):
-                        priv_keys[t].append(keys)
-                        priv_writes[t].append(writes)
-                mk = np.empty(
-                    sum(len(c[0]) for c in columns), dtype=np.int64
-                )
-                mw = np.empty(len(mk), dtype=bool)
-                mt = np.empty(len(mk), dtype=np.int32)
-                filled = 0
-                live = [(t, c) for t, c in enumerate(columns) if len(c[0])]
-                for i, p, q in round_robin_order(
-                    [len(c[0]) for _, c in live], block
-                ):
-                    t, (ck, cw) = live[i]
-                    mk[filled : filled + (q - p)] = ck[p:q]
-                    mw[filled : filled + (q - p)] = cw[p:q]
-                    mt[filled : filled + (q - p)] = t
-                    filled += q - p
-                merged_keys.append(mk)
-                merged_writes.append(mw)
-                merged_tids.append(mt)
-            else:
-                keys, writes = _columns(program, (stmt,), params)
-                if len(keys):
-                    priv_keys[0].append(keys)
-                    priv_writes[0].append(writes)
-                    merged_keys.append(keys)
-                    merged_writes.append(writes)
-                    merged_tids.append(np.zeros(len(keys), dtype=np.int32))
-        all_keys = (
-            np.concatenate(merged_keys)
-            if merged_keys
-            else np.empty(0, np.int64)
-        )
-        all_writes = (
-            np.concatenate(merged_writes)
-            if merged_writes
-            else np.empty(0, bool)
-        )
-        all_tids = (
-            np.concatenate(merged_tids)
-            if merged_tids
-            else np.empty(0, np.int32)
-        )
+        trace = trace_program(program, params, steps)
+        keys = trace.global_keys()
+        writes = np.asarray(trace.writes, dtype=bool)
+        tids = np.zeros(len(keys), dtype=np.int32)
+        order = np.arange(len(keys), dtype=np.int64)
+        nests = [
+            k
+            for k, stmt in enumerate(program.body)
+            if k in parallel and isinstance(stmt, Loop)
+        ]
+        if threads > 1 and nests and len(keys):
+            first_refs, counts = iteration_counts(program, params, nests)
+            step_len = len(keys) // steps
+            # top-level statements run in order, so within one step the
+            # accesses of nest k form one run starting at starts[k]
+            stmt_of = np.searchsorted(
+                first_refs, trace.ref_ids[:step_len], side="right"
+            ) - 1
+            starts = np.searchsorted(stmt_of, nests)
+            invocation = 0
+            for step in range(steps):
+                for k, start in zip(nests, starts.tolist()):
+                    lo, per_iter = counts[k]
+                    chunks = np.array(
+                        schedule_assignments(
+                            lo, lo + len(per_iter) - 1, threads, schedule,
+                            invocation,
+                        ),
+                        dtype=np.int64,
+                    ).reshape(-1, 3)
+                    invocation += 1
+                    a = step * step_len + start
+                    b = a + int(per_iter.sum())
+                    t = tids[a:b]
+                    t[:] = np.repeat(
+                        np.repeat(chunks[:, 2], chunks[:, 1] - chunks[:, 0] + 1),
+                        per_iter,
+                    )
+                    # rank of every access within its thread's stream
+                    sizes = np.bincount(t, minlength=threads)
+                    rank = np.empty(b - a, dtype=np.int64)
+                    rank[np.argsort(t, kind="stable")] = np.arange(
+                        b - a
+                    ) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                    order[a:b] = a + np.lexsort((t, rank))
         per_thread_streams = tuple(
             _elem_stream(
-                np.concatenate(p) if p else np.empty(0, np.int64),
-                np.concatenate(w) if w else np.empty(0, bool),
-                name=f"{program.name}/t{t}",
+                keys[tids == t], writes[tids == t], name=f"{program.name}/t{t}"
             )
-            for t, (p, w) in enumerate(zip(priv_keys, priv_writes))
+            for t in range(threads)
         )
         metrics.inc("trace.interleaved_runs")
-        metrics.inc("trace.interleaved_accesses", int(all_keys.size))
+        metrics.inc("trace.interleaved_accesses", int(keys.size))
         return InterleavedRun(
             program_name=program.name,
             threads=threads,
             schedule=schedule,
-            block=block,
             parallel_nests=tuple(sorted(parallel)),
             merged=_elem_stream(
-                all_keys, all_writes, name=f"{program.name}/shared"
+                keys[order], writes[order], name=f"{program.name}/shared"
             ),
             per_thread=per_thread_streams,
-            merged_threads=all_tids,
+            merged_threads=tids[order],
+            serial_positions=order,
         )
-
-
-def thread_program(
-    program: Program,
-    params: Mapping[str, int],
-    threads: int,
-    thread: int,
-    steps: int,
-    schedule: str,
-    parallel_nests: Sequence[int],
-) -> Program:
-    """Thread ``thread``'s share of the execution as one serial program.
-
-    Its trace is exactly ``per_thread[thread]`` of the matching
-    :func:`interleave_trace` run: the thread's chunks of every
-    partitioned nest (the outer loop narrowed to each chunk) and, on
-    thread 0, every serial nest, all steps in order.
-    """
-    body: list[Stmt] = []
-    for stmt, per_thread in _partition(
-        program, params, threads, steps, schedule, frozenset(parallel_nests)
-    ):
-        if per_thread is not None:
-            body.extend(per_thread[thread])
-        elif thread == 0:
-            body.append(stmt)
-    return program.with_body(tuple(body))
-
-
-def _partition(
-    program: Program,
-    params: Mapping[str, int],
-    threads: int,
-    steps: int,
-    schedule: str,
-    parallel: frozenset[int],
-) -> Iterator[tuple[Stmt, Optional[list[list[Loop]]]]]:
-    """Every executed top-level statement, in order, with its per-thread
-    chunk loops — ``None`` for a nest that runs serially on thread 0.
-
-    A thread's chunks execute back-to-back in chunk order — for
-    ``static,k`` and ``guided`` that is the order the deterministic
-    dealer hands them out.  ``dynamic`` rotates the assignment once per
-    partitioned nest invocation.
-    """
-    from ..static.schedule import schedule_chunks
-
-    env = dict(params)
-    invocation = 0
-    for _ in range(steps):
-        for k, stmt in enumerate(program.body):
-            if threads > 1 and k in parallel and isinstance(stmt, Loop):
-                lo = int(stmt.lower.affine().evaluate(env))
-                hi = int(stmt.upper.affine().evaluate(env))
-                per_thread = schedule_chunks(
-                    lo, hi, threads, schedule, invocation
-                )
-                invocation += 1
-                yield stmt, [
-                    [replace(stmt, lower=a, upper=b) for a, b in chunks]
-                    for chunks in per_thread
-                ]
-            else:
-                yield stmt, None
-
-
-def _columns(
-    program: Program, body: Sequence[Stmt], params: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(keys, writes)`` columns of ``body`` run in sequence."""
-    trace = trace_program(program.with_body(tuple(body)), params)
-    return trace.global_keys(), np.asarray(trace.writes, dtype=bool)
 
 
 def _elem_stream(

@@ -480,24 +480,3 @@ def trace_length(program: Program, params: Mapping[str, int]) -> int:
     locator.locate_body(compiled)
     return never - locator.left
 
-
-def trace_stream(
-    program: Program,
-    params: Mapping[str, int],
-    steps: int = 1,
-    layout=None,
-):
-    """The trace as a typed :class:`~repro.stream.AddressStream`.
-
-    With a layout the stream carries concrete byte addresses; without
-    one it carries the canonical element keys (identity layout).  This
-    is the interpreter producer of the shared stream currency — the
-    codegen backend, the interleaver, and trace import emit the same
-    type, so every consumer downstream of tracing is producer-agnostic.
-    """
-    from ..stream import AddressStream
-
-    trace = trace_program(program, params, steps=steps)
-    return AddressStream.from_trace(
-        trace, layout, name=program.name, source="interp"
-    )

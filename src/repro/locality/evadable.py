@@ -152,7 +152,7 @@ def classify_evadable_program(
             noise_floor,
         )
     if method == "dynamic":
-        from ..interp.tracegen import trace_program
+        from ..codegen import trace_program
 
         trace_small = trace_program(program, dict(small), steps=steps)
         trace_large = trace_program(program, dict(large), steps=steps)

@@ -20,6 +20,7 @@ property-test suite pins the equivalence).
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -35,13 +36,15 @@ ENGINES = ("fast", "reference")
 def default_engine() -> str:
     """Engine used when none is requested (``REPRO_ENGINE`` overrides).
 
-    Delegates to :func:`repro.engines.default_sim_engine` — one parser
-    of the environment knob for every layer (imported lazily because
-    ``repro.engines`` imports this package for the engine names).
+    The one parser of that variable: the CLI, the harness and the raw
+    simulators all reject an unknown value identically.
     """
-    from ..engines import default_sim_engine
-
-    return default_sim_engine()
+    engine = os.environ.get("REPRO_ENGINE", "fast")
+    if engine not in ENGINES:
+        raise SimulationError(
+            f"unknown REPRO_ENGINE {engine!r}; expected one of {ENGINES}"
+        )
+    return engine
 
 
 @dataclass(frozen=True)

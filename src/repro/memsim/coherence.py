@@ -38,6 +38,9 @@ import numpy as np
 from .geometry import ELEM_BYTES, L1_LINE_BYTES
 from .levels import LevelResult
 
+#: most threads the automaton tracks: valid/ever sets are int64 bitmasks
+MAX_THREADS = 63
+
 
 @dataclass(frozen=True)
 class MSIResult:
@@ -91,8 +94,10 @@ def simulate_msi(
         )
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > 63:
-        raise ValueError("the bitmask automaton supports at most 63 threads")
+    if threads > MAX_THREADS:
+        raise ValueError(
+            f"the bitmask automaton supports at most {MAX_THREADS} threads"
+        )
     uniq, compact = (
         np.unique(lines, return_inverse=True)
         if n

@@ -15,10 +15,11 @@ multi-thread run adds on top: invalidation misses, classified as
   whole number of lines, which the R520 lint suggests.
 
 The counts come from the one interleaved trace every multicore consumer
-shares: :func:`repro.interp.interleave_trace` partitions every parallel
-nest (the nests the parallelism analyzer proves DOALL) with the shared
-schedule machinery (:mod:`repro.static.schedule`) and merges the
-per-thread streams round-robin; :func:`repro.memsim.coherence.simulate_msi`
+shares: :func:`repro.interp.interleave_trace` permutes one serial
+trace, partitioning every parallel nest (the nests the parallelism
+analyzer proves DOALL) with the shared schedule machinery
+(:mod:`repro.static.schedule`) and merging the per-thread streams
+round-robin; :func:`repro.memsim.coherence.simulate_msi`
 replays the merged stream through the owner-tracking MSI automaton.
 Cold, invalidation and upgrade counts are therefore the oracle's by
 construction (DESIGN §10).  What this module adds is vectorized over
@@ -41,7 +42,7 @@ few lines, paired with the write it collided with (the last write to
 the element by another thread for true sharing, the write that
 invalidated the line for false sharing), with the two global element
 keys, their offsets within the line, and the loop-variable bindings of
-both accesses, located from their positions in the merged stream.
+both accesses, located from their positions in the serial trace.
 """
 
 from __future__ import annotations
@@ -532,35 +533,6 @@ def _array_summaries(
     )
 
 
-def _bindings(
-    program: Program,
-    env: Mapping[str, int],
-    threads: int,
-    steps: int,
-    schedule: str,
-    parallel: frozenset[int],
-    tids: np.ndarray,
-    positions: Sequence[int],
-) -> dict[int, tuple[tuple[str, int], ...]]:
-    """Loop-variable bindings of the accesses at ``positions`` of the
-    merged stream.  An access's rank among its thread's accesses is its
-    index into that thread's serial program."""
-    from ..interp.interleave import thread_program
-    from ..interp.tracegen import access_bindings
-
-    out: dict[int, tuple[tuple[str, int], ...]] = {}
-    for t in sorted({int(tids[p]) for p in positions}):
-        mine = sorted({p for p in positions if tids[p] == t})
-        ranks = np.cumsum(tids == t)[mine] - 1
-        found = access_bindings(
-            thread_program(program, env, threads, t, steps, schedule, parallel),
-            env,
-            ranks.tolist(),
-        )
-        out.update(zip(mine, found))
-    return out
-
-
 # -- entry point --------------------------------------------------------------
 
 
@@ -585,12 +557,17 @@ def analyze_coherence(
     # lazy: the interpreter imports the static package lazily too, so
     # neither package imports the other at module scope
     from ..interp.interleave import interleave_trace
-    from ..interp.tracegen import trace_length
-    from ..memsim.coherence import simulate_msi
+    from ..interp.tracegen import access_bindings, trace_length
+    from ..memsim.coherence import MAX_THREADS, simulate_msi
     from ..memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise AnalysisError(
+            f"coherence analysis models at most {MAX_THREADS} threads, "
+            f"got {threads}"
+        )
     parse_schedule(schedule)
     lb = line_bytes if line_bytes is not None else L1_LINE_BYTES
     line_elems = max(1, lb // ELEM_BYTES)
@@ -662,9 +639,14 @@ def analyze_coherence(
                     # the write that took the line away
                     hit = keys[:pos] // line_elems == inv_lines[k]
                 picks.append((k, int(np.flatnonzero(hit & writes[:pos])[-1])))
-            bindings = _bindings(
-                program, env, threads, steps, schedule, parallel, tids,
-                [p for k, other in picks for p in (other, int(inv_pos[k]))],
+            # bindings from each access's place in one step of the
+            # serial trace, walked on the original program
+            positions = [
+                p for k, other in picks for p in (other, int(inv_pos[k]))
+            ]
+            serial = run.serial_positions[positions] % (len(keys) // steps)
+            bindings = dict(
+                zip(positions, access_bindings(program, env, serial.tolist()))
             )
             for k, other in picks:
                 pos = int(inv_pos[k])

@@ -71,10 +71,6 @@ from .schedule import (
     thread_span,
 )
 
-#: kept for callers that enumerate the base schedule kinds; chunked
-#: specs (``static,k``) are accepted everywhere via ``parse_schedule``
-SCHEDULES = ("static", "dynamic", "guided")
-
 #: component kinds whose reuse stays inside one thread's chunk
 _CHUNK_LOCAL = ("intra", "carried", "sibling")
 

@@ -3,11 +3,13 @@
 One implementation of "which thread runs which iterations" serves both
 sides of the multicore cross-validation: the static predictor
 (``repro.static.multicore`` and the coherence screens) and the
-interleaved replay (``repro.interp.interleave``), which the coherence
-analyzer replays in turn.  This module imports nothing from the
-interpreter; the interpreter and ``repro.static.coherence`` import each
-other's package only inside functions, so neither package imports the
-other at module scope.
+interleaved replay (``repro.interp.interleave``), which maps every
+outer iteration of the serial trace to its thread through
+:func:`schedule_assignments` and which the coherence analyzer replays
+in turn.  This module imports nothing from the interpreter; the
+interpreter and ``repro.static.coherence`` import each other's package
+only inside functions, so neither package imports the other at module
+scope.
 
 Supported schedule specs (OpenMP ``schedule`` clause syntax):
 
@@ -30,8 +32,6 @@ Supported schedule specs (OpenMP ``schedule`` clause syntax):
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 #: schedule kinds accepted by :func:`parse_schedule` (``static`` also
 #: accepts a ``,k`` chunk-size suffix)
@@ -162,32 +162,3 @@ def chunk_count(lo: int, hi: int, threads: int, schedule: str) -> int:
     """How many chunks the schedule splits [lo, hi] into."""
     return len(schedule_assignments(lo, hi, threads, schedule))
 
-
-def round_robin_order(
-    lengths: Sequence[int], block: int = 1
-) -> list[tuple[int, int, int]]:
-    """The drain order of a round-robin merge over per-thread streams
-    of the given lengths: ``(stream_index, start, stop)`` runs of up to
-    ``block`` accesses.  Streams drop out as they drain (threads with
-    smaller chunks finish early and wait at the barrier).
-
-    ``repro.interp.interleave`` orders every parallel nest's accesses
-    with this function; the coherence analyzer and the MSI oracle
-    replay that one merged stream.
-    """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    runs: list[tuple[int, int, int]] = []
-    pos = [0] * len(lengths)
-    total = sum(lengths)
-    filled = 0
-    while filled < total:
-        for k, n in enumerate(lengths):
-            p = pos[k]
-            if p >= n:
-                continue
-            q = min(p + block, n)
-            runs.append((k, p, q))
-            filled += q - p
-            pos[k] = q
-    return runs

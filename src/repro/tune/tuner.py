@@ -321,6 +321,16 @@ def _score_profile(
                 coherence = None  # outside the affine subset: capacity only
             l1m = pred.private_miss_count(l1)
             l2m = pred.shared_miss_count(l2)
+        elif objective == "bytes":
+            # predicted data moved: misses weighted by line size.  Every
+            # machine (base and scaled) keeps the shared line geometry,
+            # so only the capacities come from the arguments.
+            from ..memsim.geometry import ELEM_BYTES, CacheGeometry
+
+            predicted = profile.predicted_bytes(
+                params, CacheGeometry(l1 * ELEM_BYTES, l2 * ELEM_BYTES)
+            )
+            l1m, l2m = predicted["l1_misses"], predicted["l2_misses"]
         else:
             l1m = profile.miss_count(params, l1)
             l2m = profile.miss_count(params, l2)
@@ -328,12 +338,7 @@ def _score_profile(
         if objective == "parallel-misses" and coherence is not None:
             entry["invalidations"] = coherence.total_invalidations
         if objective == "bytes":
-            # predicted data moved: misses weighted by line size.  Every
-            # machine (base and scaled) keeps the shared line geometry,
-            # so the constants apply regardless of the capacity args.
-            from ..memsim.geometry import L1_LINE_BYTES, L2_LINE_BYTES
-
-            moved = l1m * L1_LINE_BYTES + l2m * L2_LINE_BYTES
+            moved = predicted["l1_fill_bytes"] + predicted["memory_bytes"]
             entry["bytes"] = round(moved, 3)
             total += moved
         else:

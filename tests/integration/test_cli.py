@@ -129,6 +129,14 @@ def test_report_with_engine_and_timings(kernel_file, capsys):
     assert "trace-gen" in out and "tlb" in out
 
 
+def test_engine_flag_names_a_simulation_engine(capsys):
+    # tracing has one production path; --engine picks the simulator only
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "adi", "--engine", "interp"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cache_subcommand(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     assert main(["cache", "--dir", str(cache_dir)]) == 0
@@ -284,3 +292,34 @@ def test_verify_pass_with_passes_override(kernel_file, capsys):
     assert main(["verify-pass", kernel_file, "--passes", "inline,distribute"]) == 0
     out = capsys.readouterr().out
     assert "passes:inline,distribute" in out and "certified" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coherence", "adi", "--threads", "0"],
+        ["parallelism", "adi", "--threads", "0"],
+        ["report", "adi", "--coherence", "--threads", "0"],
+        ["tune", "adi", "--threads", "-1"],
+        ["coherence", "adi", "--threads", "four"],
+    ],
+)
+def test_threads_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "thread count" in capsys.readouterr().err
+
+
+def test_threads_past_the_coherence_automaton_degrade(capsys):
+    """More threads than the MSI automaton tracks skip the coherence
+    prediction (like an oversized instance) instead of a traceback."""
+    assert main(["coherence", "adi", "-p", "N=8", "--threads", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "skipped" in out and "63 threads" in out
+    assert main(
+        ["report", "adi", "-p", "N=8", "--steps", "1", "--levels", "noopt",
+         "--coherence", "--threads", "70"]
+    ) == 0
+    table = capsys.readouterr().out.split("coherence prediction")[1]
+    assert table.strip().splitlines()[-1].split() == ["noopt"] + ["-"] * 5

@@ -45,6 +45,24 @@ class TestEngineSelection:
     def test_engines_tuple(self):
         assert ENGINES == ("fast", "reference")
 
+    def test_env_var_reaches_the_harness(self, monkeypatch):
+        # one parser of REPRO_ENGINE serves the run() front door too
+        from repro.harness import RunRequest, run
+
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        with pytest.raises(SimulationError, match="REPRO_ENGINE"):
+            run(RunRequest(program="adi", params={"N": 16}, steps=1))
+
+    def test_run_request_rejects_unknown_engine(self):
+        from repro.harness import RunRequest, run
+
+        with pytest.raises(SimulationError, match="unknown engine"):
+            run(
+                RunRequest(
+                    program="adi", params={"N": 16}, steps=1, engine="interp"
+                )
+            )
+
 
 class TestFastPaths:
     def test_empty_stream(self):

@@ -10,7 +10,7 @@ carried by ``tests/properties/test_coherence_props.py``.
 
 Tier-1 runs the six programs at small sizes under the default static
 schedule; the full schedule matrix and the fig-10 default sizes ride
-the slow marker (``coherence-crossval`` CI job).
+the slow marker (``interleave-crossval`` CI job).
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 One partitioning implementation serves the static predictors
 (multicore, coherence) and the dynamic interleaved replay; these tests
 pin its contract: spec parsing, chunk shapes per schedule, chunk-
-boundary placement for ``static,k`` and ``guided``, affinity, the
-dynamic rotation, and the round-robin drain order.
+boundary placement for ``static,k`` and ``guided``, affinity, and the
+dynamic rotation.  The round-robin drain order of the interleaved
+replay is pinned through ``interleave_trace`` in
+``tests/interp/test_interleave.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from repro.static.schedule import (
     chunk_count,
     parse_schedule,
     preserves_affinity,
-    round_robin_order,
     schedule_assignments,
     schedule_chunks,
     thread_span,
@@ -175,35 +176,3 @@ def test_threads_must_be_positive():
     with pytest.raises(ValueError):
         schedule_assignments(1, 10, 0, "static")
 
-
-# -- round-robin drain order ---------------------------------------------------
-
-
-def test_round_robin_order_block1():
-    # streams of length 3,1,2 drain 0,1,2, 0,2, 0
-    order = round_robin_order([3, 1, 2], 1)
-    assert order == [
-        (0, 0, 1), (1, 0, 1), (2, 0, 1),
-        (0, 1, 2), (2, 1, 2),
-        (0, 2, 3),
-    ]
-
-
-def test_round_robin_order_blocked():
-    order = round_robin_order([5, 2], 2)
-    assert order == [(0, 0, 2), (1, 0, 2), (0, 2, 4), (0, 4, 5)]
-
-
-def test_round_robin_order_rejects_bad_block():
-    with pytest.raises(ValueError):
-        round_robin_order([1, 2], 0)
-
-
-def test_round_robin_order_total_preserved():
-    lengths = [7, 0, 3, 11]
-    order = round_robin_order(lengths, 3)
-    drained = [0] * len(lengths)
-    for k, p, q in order:
-        assert drained[k] == p  # runs arrive in stream order
-        drained[k] = q
-    assert drained == lengths

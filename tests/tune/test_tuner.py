@@ -105,6 +105,36 @@ class TestFrontDoor:
         noopt = next(c for c in result.named if c.label == "noopt")
         assert noopt.per_size[0]["invalidations"] > 0
 
+    def test_bytes_objective_scores_predicted_bytes(self):
+        """``objective="bytes"`` scores StaticProfile.predicted_bytes:
+        L2->L1 fill bytes plus memory bytes, summed over the sizes."""
+        from repro.core import compile_pipeline
+        from repro.core.pm import resolve_pipeline
+        from repro.lang import validate
+        from repro.memsim import CacheGeometry
+        from repro.programs import registry
+        from repro.static import analyze_program
+        from repro.tune.tuner import static_score
+
+        entry = registry.get("adi")
+        program = validate(entry.build())
+        spec = resolve_pipeline("new")
+        sizes = [{"N": 16}, {"N": 40}]
+        geometry = CacheGeometry.from_spec(entry.machine_spec)
+        score, per_size, _, _ = static_score(
+            program, spec, entry.steps, sizes,
+            geometry.l1_elems, geometry.l2_elems, objective="bytes",
+        )
+        profile = analyze_program(
+            compile_pipeline(program, spec).program, steps=entry.steps
+        )
+        moved = [
+            p["l1_fill_bytes"] + p["memory_bytes"]
+            for p in (profile.predicted_bytes(s, geometry) for s in sizes)
+        ]
+        assert score == sum(moved) > 0
+        assert [e["bytes"] for e in per_size] == [round(m, 3) for m in moved]
+
     def test_machine_override_changes_scores(self):
         small = _tune(validate_top=False, max_candidates=2,
                       machine=MachineSpec(l1_bytes=1024, l2_bytes=4096))
