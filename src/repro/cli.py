@@ -1644,7 +1644,7 @@ def build_parser() -> argparse.ArgumentParser:
     texp = trace_sub.add_parser(
         "export",
         help="trace a program and write the address stream to disk",
-        parents=[params_args, engine_args],
+        parents=[params_args],
     )
     texp.add_argument("target", help="registry app name, 'fft', or source file")
     texp.add_argument("-o", "--output", required=True, metavar="FILE")

@@ -12,8 +12,7 @@ lowering of affine references:
     guards split instance frames by membership masks, and the per-step
     stream is tiled across time steps.  It is the one production trace
     path: the harness, the CLI and the multicore interleaver all call
-    it, and :func:`iteration_counts` gives the interleaver each
-    parallel nest's accesses per outer iteration;
+    it;
 :func:`run_program`
     vectorized execution — each loop nest picks one legal
     vectorization axis (proved free of cross-instance dependences) and
@@ -29,14 +28,13 @@ degradation is observable (and lintable, code S401).
 from .executor import CodegenExecutor, plan_execution, run_program
 from .lowering import CodegenUnsupported, int_affine, trace_fingerprint
 from .plan import CodegenPlan, plan_program
-from .tracer import iteration_counts, trace_program
+from .tracer import trace_program
 
 __all__ = [
     "CodegenExecutor",
     "CodegenPlan",
     "CodegenUnsupported",
     "int_affine",
-    "iteration_counts",
     "plan_execution",
     "plan_program",
     "run_program",

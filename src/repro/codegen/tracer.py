@@ -33,7 +33,7 @@ split and the fallback reasons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -395,55 +395,3 @@ def trace_program(
                 builder.instr_count += icount
             builder.append(aids, elems, writes, refids, instr)
     return gen.finish()
-
-
-def iteration_counts(
-    program, params: Mapping[str, int], nests: Collection[int]
-) -> tuple[np.ndarray, dict[int, tuple[int, np.ndarray]]]:
-    """How one step of :func:`trace_program` splits at the top level.
-
-    Returns the first reference id of every top-level statement (an
-    access belongs to the last statement whose first id is at most its
-    ``ref_ids`` entry) and, for each top-level loop at a position in
-    ``nests``, ``(first outer iteration, access count per outer
-    iteration)``.  The counts come from emitting the loop body against
-    a frame of the outer variable, one instance per iteration; a nest
-    codegen cannot lower is counted by the interpreter generator's walk.
-    """
-    bound = check_params(program, params)
-    compiler = _tg._Compiler(program, bound)
-    emitter = _Emitter(compiler, with_instr=False)
-    first_refs: list[int] = []
-    counts: dict[int, tuple[int, np.ndarray]] = {}
-    for k, stmt in enumerate(program.body):
-        first_refs.append(len(compiler.refs))
-        node = compiler.compile_stmt(stmt)
-        if k not in nests or not isinstance(node, _tg._CLoop):
-            continue
-        lo = int(node.lower.evaluate(bound))
-        values = np.arange(lo, int(node.upper.evaluate(bound)) + 1, dtype=np.int64)
-        try:
-            block = emitter.emit_body(node.body, {node.index: values}, len(values))
-            if isinstance(block, _Uniform):
-                per = np.full(len(values), block.elems.shape[1], np.int64)
-            else:
-                per = block.counts
-        except CodegenUnsupported:
-            per = _walk_counts(node, compiler, bound, values)
-        counts[k] = (lo, per)
-    return np.asarray(first_refs, dtype=np.int64), counts
-
-
-def _walk_counts(node, compiler, bound, values: np.ndarray) -> np.ndarray:
-    """Per-iteration access counts of ``node``'s body, counted by the
-    interpreter generator's locator walk (the fallback path)."""
-    never = 1 << 62
-    locator = _tg._Locator((), compiler, never)
-    locator.env.update(bound)
-    out = np.empty(len(values), np.int64)
-    for n, value in enumerate(values.tolist()):
-        locator.left = never
-        locator.env[node.index] = value
-        locator.locate_body(node.body)
-        out[n] = never - locator.left
-    return out

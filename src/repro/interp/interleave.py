@@ -17,7 +17,7 @@ so a thread's accesses in a nest are the serial accesses of the outer
 iterations the schedule gives it, in serial order.  The serial stream
 comes from one :func:`repro.codegen.trace_program` call; each access's
 thread follows from its outer iteration (per-iteration access counts
-from :func:`repro.codegen.iteration_counts`), and each parallel nest
+from :func:`repro.interp.tracegen.iteration_counts`), and each parallel nest
 invocation is reordered by a stable sort on (rank within its thread,
 thread id).
 
@@ -51,6 +51,7 @@ import numpy as np
 from ..lang import Loop, Program
 from ..obs import metrics, span
 from ..stream import AddressStream
+from .tracegen import iteration_counts
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def interleave_trace(
         raise ValueError(f"threads must be >= 1, got {threads}")
     # lazy: codegen and the static package import this package, so
     # neither is imported here at module scope
-    from ..codegen import iteration_counts, trace_program
+    from ..codegen import trace_program
     from ..static.schedule import parse_schedule, schedule_assignments
 
     parse_schedule(schedule)  # validate the spec before tracing

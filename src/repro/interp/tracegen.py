@@ -15,7 +15,7 @@ dimension is a handful of vectorized ops rather than a Python-level eval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Collection, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -480,3 +480,38 @@ def trace_length(program: Program, params: Mapping[str, int]) -> int:
     locator.locate_body(compiled)
     return never - locator.left
 
+
+def iteration_counts(
+    program: Program, params: Mapping[str, int], nests: Collection[int]
+) -> tuple[np.ndarray, dict[int, tuple[int, np.ndarray]]]:
+    """How one step of ``trace_program(program, params)`` splits at the
+    top level, counted the same way as :func:`trace_length`.
+
+    Returns the first reference id of every top-level statement (an
+    access belongs to the last statement whose first id is at most its
+    ``ref_ids`` entry) and, for each top-level loop at a position in
+    ``nests``, ``(first outer iteration, access count per outer
+    iteration)``.
+    """
+    bound = check_params(program, params)
+    compiler = _Compiler(program, bound)
+    never = 1 << 62
+    locator = _Locator((), compiler, never)
+    locator.env.update(bound)
+    first_refs: list[int] = []
+    counts: dict[int, tuple[int, np.ndarray]] = {}
+    for k, stmt in enumerate(program.body):
+        first_refs.append(len(compiler.refs))
+        node = compiler.compile_stmt(stmt)
+        if k not in nests or not isinstance(node, _CLoop):
+            continue
+        lo = int(node.lower.evaluate(bound))
+        hi = int(node.upper.evaluate(bound))
+        per = np.empty(max(hi - lo + 1, 0), np.int64)
+        for n, value in enumerate(range(lo, hi + 1)):
+            locator.left = never
+            locator.env[node.index] = value
+            locator.locate_body(node.body)
+            per[n] = never - locator.left
+        counts[k] = (lo, per)
+    return np.asarray(first_refs, dtype=np.int64), counts

@@ -137,6 +137,15 @@ def test_engine_flag_names_a_simulation_engine(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_trace_export_has_no_engine_flag(tmp_path, capsys):
+    # export only traces; no simulation engine to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "export", "adi", "-o", str(tmp_path / "x.ast"),
+              "--engine", "fast"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 def test_cache_subcommand(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     assert main(["cache", "--dir", str(cache_dir)]) == 0

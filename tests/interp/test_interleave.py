@@ -141,8 +141,8 @@ def test_serial_positions_index_the_serial_trace():
 
 
 def test_forced_fallback_interleaves_identically(monkeypatch):
-    """A nest codegen cannot lower is traced and counted by the
-    interpreter generator, with the same interleaving."""
+    """A nest codegen cannot lower is traced by the interpreter
+    generator, with the same interleaving."""
 
     def refuse(self, node, frame, p):
         raise CodegenUnsupported("forced by test")
